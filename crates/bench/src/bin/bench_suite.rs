@@ -47,7 +47,10 @@ use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::Design;
 use dco_place::{GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
-use dco_tensor::conv::{conv2d_backward, conv2d_forward, conv2d_forward_reference};
+use dco_tensor::conv::{
+    bias_chan_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
+    conv2d_forward_reference, conv_transpose2d_forward,
+};
 use dco_tensor::Tensor;
 use dco_timing::Sta;
 use dco_unet::{Normalization, SiameseUNet, TrainResult, UNetConfig};
@@ -112,6 +115,22 @@ fn sweep<O>(
         runs,
         deterministic,
     }
+}
+
+/// All three conv2d gradients `(grad_x, grad_w, grad_b)`, as training
+/// computes them.
+fn conv2d_grads(x: &Tensor, w: &Tensor, gy: &Tensor) -> (Tensor, Tensor, Tensor) {
+    (
+        conv2d_backward_input(x.shape(), w, 1, 1, gy),
+        conv2d_backward_weight(x, w.shape(), 1, 1, gy),
+        bias_chan_backward(gy),
+    )
+}
+
+fn checksum_grads((gx, gw, gb): &(Tensor, Tensor, Tensor)) -> u64 {
+    let mut c = dco_parallel::checksum_f32(gx.data());
+    c = dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gw.data()));
+    dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gb.data()))
 }
 
 fn bench_design(scale: f64) -> Design {
@@ -368,12 +387,37 @@ fn main() {
             "conv2d_backward_224",
             &threads,
             reps,
-            || conv2d_backward(&x224, &w224, 1, 1, &gy224),
-            |(gx, gw, gb)| {
-                let mut c = dco_parallel::checksum_f32(gx.data());
-                c = dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gw.data()));
-                dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gb.data()))
-            },
+            || conv2d_grads(&x224, &w224, &gy224),
+            checksum_grads,
+        ));
+        // What a frozen-weight backward (a DCO iteration) runs: the input
+        // gradient alone.
+        entries.push(sweep(
+            "conv2d_backward_input_224",
+            &threads,
+            reps,
+            || conv2d_backward_input(x224.shape(), &w224, 1, 1, &gy224),
+            |gx| dco_parallel::checksum_f32(gx.data()),
+        ));
+        // The decoder's last up-sampling (up2): 2×2 stride-2 transposed
+        // conv, 16 → 8 channels, 112×112 → 224×224.
+        let xt = Tensor::from_vec(
+            (0..16 * 112 * 112)
+                .map(|i| ((i as f32) * 0.379).sin())
+                .collect(),
+            &[1, 16, 112, 112],
+        );
+        let wt = Tensor::from_vec(
+            (0..16 * 8 * 4).map(|i| ((i as f32) * 0.29).cos()).collect(),
+            &[16, 8, 2, 2],
+        );
+        let bt = Tensor::from_vec((0..8).map(|i| i as f32 * 0.02).collect(), &[8]);
+        entries.push(sweep(
+            "conv_transpose2d_forward_224",
+            &threads,
+            reps,
+            || conv_transpose2d_forward(&xt, &wt, Some(&bt), 2, 0),
+            |y| dco_parallel::checksum_f32(y.data()),
         ));
         let a512 = Tensor::from_vec(
             (0..512 * 512).map(|i| ((i as f32) * 0.013).sin()).collect(),
@@ -558,12 +602,8 @@ fn main() {
             "conv2d_backward",
             &threads,
             reps,
-            || conv2d_backward(&x, &w, 1, 1, &gy),
-            |(gx, gw, gb)| {
-                let mut c = dco_parallel::checksum_f32(gx.data());
-                c = dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gw.data()));
-                dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gb.data()))
-            },
+            || conv2d_grads(&x, &w, &gy),
+            checksum_grads,
         ));
         entries.push(sweep(
             "matmul",

@@ -180,6 +180,63 @@ proptest! {
         prop_assert!(report.passed(), "{report}");
     }
 
+    /// conv2d → conv_transpose2d as DCO runs them through the frozen UNet:
+    /// the input is the only parameter, weights and biases are constants,
+    /// so the backward takes the input-gradient-only path.
+    #[test]
+    fn conv_ops_with_frozen_weights(
+        x in collection::vec(-1.0f32..1.0, 32),
+        w in collection::vec(-0.5f32..0.5, 54),
+        b in collection::vec(-0.5f32..0.5, 3),
+        wt in collection::vec(-0.5f32..0.5, 24),
+        bt in collection::vec(-0.5f32..0.5, 2),
+    ) {
+        let report = gradcheck_fn(
+            |g| {
+                let xv = g.param(Tensor::from_vec(x.clone(), &[1, 2, 4, 4]));
+                let wv = g.input(Tensor::from_vec(w.clone(), &[3, 2, 3, 3]));
+                let bv = g.input(Tensor::from_vec(b.clone(), &[3]));
+                let c = g.conv2d(xv, wv, Some(bv), 1, 1);
+                let wtv = g.input(Tensor::from_vec(wt.clone(), &[3, 2, 2, 2]));
+                let btv = g.input(Tensor::from_vec(bt.clone(), &[2]));
+                let ct = g.conv_transpose2d(c, wtv, Some(btv), 2, 0);
+                let sq = g.square(ct);
+                g.mean_all(sq)
+            },
+            1e-2,
+        );
+        prop_assert!(report.passed(), "{report}");
+        prop_assert_eq!(report.params_checked, 1);
+    }
+
+    /// The training mirror: the input is a constant and the weights and
+    /// biases are parameters, so the first conv skips its input gradient.
+    #[test]
+    fn conv_ops_with_constant_input(
+        x in collection::vec(-1.0f32..1.0, 32),
+        w in collection::vec(-0.5f32..0.5, 54),
+        b in collection::vec(-0.5f32..0.5, 3),
+        wt in collection::vec(-0.5f32..0.5, 24),
+        bt in collection::vec(-0.5f32..0.5, 2),
+    ) {
+        let report = gradcheck_fn(
+            |g| {
+                let xv = g.input(Tensor::from_vec(x.clone(), &[1, 2, 4, 4]));
+                let wv = g.param(Tensor::from_vec(w.clone(), &[3, 2, 3, 3]));
+                let bv = g.param(Tensor::from_vec(b.clone(), &[3]));
+                let c = g.conv2d(xv, wv, Some(bv), 1, 1);
+                let wtv = g.param(Tensor::from_vec(wt.clone(), &[3, 2, 2, 2]));
+                let btv = g.param(Tensor::from_vec(bt.clone(), &[2]));
+                let ct = g.conv_transpose2d(c, wtv, Some(btv), 2, 0);
+                let sq = g.square(ct);
+                g.mean_all(sq)
+            },
+            1e-2,
+        );
+        prop_assert!(report.passed(), "{report}");
+        prop_assert_eq!(report.params_checked, 4);
+    }
+
     /// maxpool2d over rank-spaced values (stable argmax under perturbation).
     #[test]
     fn maxpool_op(x in collection::vec(0.0f32..1.0, 16)) {

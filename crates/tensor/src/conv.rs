@@ -14,6 +14,14 @@
 //! buffers pooled per thread by [`crate::arena`]. The pre-blocking
 //! implementation survives as [`conv2d_forward_reference`] so the
 //! paper-scale benchmark tier can measure the speedup in-process.
+//!
+//! Each backward pass is split per operand — `*_backward_input`,
+//! `*_backward_weight` and [`bias_chan_backward`] — so the autograd tape
+//! runs only the gradients some node needs: a frozen-weight pass (DCO
+//! through the trained UNet) never builds a weight GEMM. The transposed
+//! convolution reuses the same packed kernel in both directions: its
+//! forward is a strip-mined `scatter(Wᵀ · X)`, its input gradient is a
+//! plain [`conv2d_forward`].
 
 use crate::arena;
 use crate::kernel;
@@ -373,87 +381,119 @@ pub fn conv2d_forward_reference(
     out
 }
 
-/// 2D convolution backward pass. Returns `(grad_x, grad_w, grad_b)`.
+/// Input gradient of [`conv2d_forward`]: `∂L/∂X = col2im(Wᵀ · ∂L/∂Y)`.
 ///
-/// All three gradients run through the packed kernel:
-/// `∂L/∂X = col2im(Wᵀ · ∂L/∂Y)` packs `Wᵀ` once and each image's `∂L/∂Y`
-/// as B panels; `∂L/∂W = ∂L/∂Y · colsᵀ` uses [`crate::kernel::gemm_bt`]
-/// so the column matrix is consumed along its contiguous rows instead of
-/// materializing its transpose; `∂L/∂b` is a spatial sum.
+/// `Wᵀ` is packed once; each image packs its `∂L/∂Y` as B panels, runs
+/// [`crate::kernel`]'s packed GEMM into an arena column buffer, and folds
+/// the columns back into its own slice of the result. Images are
+/// independent tasks writing disjoint slices, so the bits never depend on
+/// the `dco_parallel` thread count.
 ///
-/// Parallelism: each batch image is an independent task producing its
-/// disjoint `grad_x` slice plus `(grad_w, grad_b)` partials; the partials
-/// are folded **in batch order**, matching the serial accumulation order
-/// bit for bit at any thread count.
-pub fn conv2d_backward(
-    x: &Tensor,
+/// # Panics
+/// Panics on rank, channel or output-gradient shape mismatches.
+pub fn conv2d_backward_input(
+    x_shape: &[usize],
     w: &Tensor,
     stride: usize,
     pad: usize,
     gy: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    let (_bsz, cin, h, wd) = dims4(x.shape(), "conv2d input");
-    let (cout, _, kh, kw) = dims4(w.shape(), "conv2d weight");
+) -> Tensor {
+    let (bsz, cin, h, wd) = dims4(x_shape, "conv2d input");
+    let (cout, cin2, kh, kw) = dims4(w.shape(), "conv2d weight");
+    assert_eq!(cin, cin2, "conv2d channel mismatch");
     let oh = conv_out_size(h, kh, stride, pad);
     let ow = conv_out_size(wd, kw, stride, pad);
+    assert_eq!(gy.shape(), &[bsz, cout, oh, ow], "conv2d output gradient");
     let kdim = cin * kh * kw;
     let nsp = oh * ow;
     // Pack Wᵀ [kdim, cout] once; shared read-only by every image task.
     let mut apack_wt = arena::scratch_take_raw(kernel::packed_a_len(kdim, cout));
     kernel::pack_a_transposed(w.data(), kdim, cout, &mut apack_wt);
-    let per_img = cin * h * wd;
     let per_out = cout * nsp;
-    let mut gx = vec![0.0f32; x.len()];
-    let xd = x.data();
+    let mut gx = vec![0.0f32; bsz * cin * h * wd];
     let gyd = gy.data();
-    // Per-image partials, produced in parallel, folded in batch order.
-    let parts: Vec<(Vec<f32>, Vec<f32>)> =
-        dco_parallel::par_chunks_mut(&mut gx, per_img, |bi, gx_img| {
-            let gyb = &gyd[bi * per_out..(bi + 1) * per_out]; // [cout, nsp]
-                                                              // grad bias: sum over spatial
-            let mut gb_img = vec![0.0f32; cout];
-            for (co, gbv) in gb_img.iter_mut().enumerate() {
-                *gbv = gyb[co * nsp..(co + 1) * nsp].iter().sum::<f32>();
-            }
-            // grad weight: gy_b · colsᵀ, walking cols along its rows
-            let mut cols = arena::scratch_take_raw(kdim * nsp);
-            im2col_into(
-                &xd[bi * per_img..(bi + 1) * per_img],
-                (cin, h, wd),
-                (kh, kw),
-                stride,
-                pad,
-                &mut cols,
-            );
-            let mut gw_img = vec![0.0f32; cout * kdim];
-            kernel::gemm_bt(cout, nsp, kdim, gyb, &cols, &mut gw_img);
-            arena::scratch_give(cols);
-            // grad input: Wᵀ · gy_b, folded back into this image's slice
-            let mut bpack_gy = arena::scratch_take_raw(kernel::packed_b_len(cout, nsp));
-            kernel::pack_b(gyb, cout, nsp, &mut bpack_gy);
-            let mut gcols = arena::scratch_take_raw(kdim * nsp);
-            kernel::gemm_prepacked(kdim, cout, nsp, &apack_wt, &bpack_gy, None, &mut gcols);
-            arena::scratch_give(bpack_gy);
-            col2im_into(&gcols, (cin, h, wd), (kh, kw), stride, pad, gx_img);
-            arena::scratch_give(gcols);
-            (gw_img, gb_img)
-        });
+    dco_parallel::par_chunks_mut(&mut gx, cin * h * wd, |bi, gx_img| {
+        let gyb = &gyd[bi * per_out..(bi + 1) * per_out]; // [cout, nsp]
+        let mut bpack_gy = arena::scratch_take_raw(kernel::packed_b_len(cout, nsp));
+        kernel::pack_b(gyb, cout, nsp, &mut bpack_gy);
+        let mut gcols = arena::scratch_take_raw(kdim * nsp);
+        kernel::gemm_prepacked(kdim, cout, nsp, &apack_wt, &bpack_gy, None, &mut gcols);
+        arena::scratch_give(bpack_gy);
+        col2im_into(&gcols, (cin, h, wd), (kh, kw), stride, pad, gx_img);
+        arena::scratch_give(gcols);
+    });
     arena::scratch_give(apack_wt);
-    let mut gw = Tensor::zeros(&[cout, kdim]);
-    let mut gb = Tensor::zeros(&[cout]);
-    for (gw_img, gb_img) in parts {
-        for (dst, src) in gw.data_mut().iter_mut().zip(&gw_img) {
-            *dst += src;
-        }
-        for (dst, src) in gb.data_mut().iter_mut().zip(&gb_img) {
+    Tensor::from_vec(gx, x_shape)
+}
+
+/// Weight gradient of [`conv2d_forward`]: `∂L/∂W = Σ_b ∂L/∂Y_b · cols_bᵀ`.
+///
+/// [`crate::kernel::gemm_bt`] consumes each image's im2col matrix along
+/// its contiguous rows instead of materializing its transpose. Images run
+/// as independent tasks whose partials are folded **in batch order**, so
+/// the sum is bitwise identical to the serial one at any thread count.
+///
+/// # Panics
+/// Panics on rank, channel or output-gradient shape mismatches.
+pub fn conv2d_backward_weight(
+    x: &Tensor,
+    w_shape: &[usize],
+    stride: usize,
+    pad: usize,
+    gy: &Tensor,
+) -> Tensor {
+    let (bsz, cin, h, wd) = dims4(x.shape(), "conv2d input");
+    let (cout, cin2, kh, kw) = dims4(w_shape, "conv2d weight");
+    assert_eq!(cin, cin2, "conv2d channel mismatch");
+    let oh = conv_out_size(h, kh, stride, pad);
+    let ow = conv_out_size(wd, kw, stride, pad);
+    assert_eq!(gy.shape(), &[bsz, cout, oh, ow], "conv2d output gradient");
+    let kdim = cin * kh * kw;
+    let nsp = oh * ow;
+    let per_out = cout * nsp;
+    let gyd = gy.data();
+    let parts: Vec<Vec<f32>> = dco_parallel::par_chunks(x.data(), cin * h * wd, |bi, ximg| {
+        let gyb = &gyd[bi * per_out..(bi + 1) * per_out]; // [cout, nsp]
+        let mut cols = arena::scratch_take_raw(kdim * nsp);
+        im2col_into(ximg, (cin, h, wd), (kh, kw), stride, pad, &mut cols);
+        let mut gw_img = vec![0.0f32; cout * kdim];
+        kernel::gemm_bt(cout, nsp, kdim, gyb, &cols, &mut gw_img);
+        arena::scratch_give(cols);
+        gw_img
+    });
+    Tensor::from_vec(fold_in_order(parts, cout * kdim), w_shape)
+}
+
+/// Sum per-image partials element-wise, in batch order, onto zeros.
+fn fold_in_order(parts: Vec<Vec<f32>>, len: usize) -> Vec<f32> {
+    let mut acc = vec![0.0f32; len];
+    for part in parts {
+        for (dst, src) in acc.iter_mut().zip(&part) {
             *dst += src;
         }
     }
-    (
-        Tensor::from_vec(gx, x.shape()),
-        gw.reshaped(&[cout, cin, kh, kw]),
-        gb,
-    )
+    acc
+}
+
+/// Gradient of a per-channel bias added to `[B, C, H, W]` outputs:
+/// `∂L/∂b[c] = Σ_b Σ_(y,x) ∂L/∂Y[b, c, y, x]`, each image's spatial sum
+/// added in batch order. The one bias backward behind conv2d,
+/// conv_transpose2d and [`crate::Graph::add_bias_chan`].
+///
+/// # Panics
+/// Panics unless `gy` is rank-4.
+pub fn bias_chan_backward(gy: &Tensor) -> Tensor {
+    let (bsz, c, h, w) = dims4(gy.shape(), "bias output gradient");
+    let plane = h * w;
+    let gyd = gy.data();
+    let mut gb = vec![0.0f32; c];
+    for bi in 0..bsz {
+        for (ci, g) in gb.iter_mut().enumerate() {
+            let base = (bi * c + ci) * plane;
+            *g += gyd[base..base + plane].iter().sum::<f32>();
+        }
+    }
+    Tensor::from_vec(gb, &[c])
 }
 
 /// Output spatial size of a transposed convolution.
@@ -462,9 +502,115 @@ pub fn convt_out_size(input: usize, kernel: usize, stride: usize, pad: usize) ->
     (input - 1) * stride + kernel - 2 * pad
 }
 
-/// 2D transposed convolution forward pass (upsampling).
+/// Input columns per strip of the transposed-convolution lowering. A strip
+/// is a few whole input rows; its `C_out·KH·KW × cols` product takes 8 KB
+/// per output channel at the model's 2×2 kernels, where a whole image's
+/// would take megabytes at 224×224 and skew the arena's buffer reuse.
+const CONVT_STRIP_COLS: usize = 512;
+
+/// Fill one `KC×NR` B micro-panel straight from a `[C, H·W]` image for the
+/// transposed-convolution GEMM: panel rows are input channels
+/// `chunk·KC..+klen`, lanes are the strip's input pixels `jt·NR..`
+/// (offset `j0` into each plane). Lanes past the strip are zeroed.
+#[allow(clippy::too_many_arguments)]
+fn plane_fill_panel(
+    x: &[f32],
+    plane: usize,
+    j0: usize,
+    n: usize,
+    jt: usize,
+    chunk: usize,
+    klen: usize,
+    panel: &mut [f32],
+) {
+    let lane0 = j0 + jt * NR;
+    let jn = NR.min(n - jt * NR);
+    // hot-path: convt-panel
+    for kk in 0..klen {
+        let ci = chunk * KC + kk;
+        let dst = &mut panel[kk * NR..kk * NR + NR];
+        dst[..jn].copy_from_slice(&x[ci * plane + lane0..ci * plane + lane0 + jn]);
+        for d in &mut dst[jn..] {
+            *d = 0.0;
+        }
+    }
+    // hot-path: end
+}
+
+/// Scatter-add the strip product `cols[(co, u, v), (iy − iy0)·W + ix]`
+/// into `out[co, iy·s + u − pad, ix·s + v − pad]`, dropping taps that land
+/// in the cropped border.
+fn convt_scatter_strip(
+    cols: &[f32],
+    (cout, oh, ow): (usize, usize, usize),
+    (kh, kw): (usize, usize),
+    stride: usize,
+    pad: usize,
+    (iy0, rows, wd): (usize, usize, usize),
+    out: &mut [f32],
+) {
+    let n = rows * wd;
+    // hot-path: convt-scatter
+    for co in 0..cout {
+        for u in 0..kh {
+            for v in 0..kw {
+                let row = (co * kh + u) * kw + v;
+                let src = &cols[row * n..(row + 1) * n];
+                for r in 0..rows {
+                    let oy = ((iy0 + r) * stride + u) as isize - pad as isize;
+                    if oy < 0 || oy >= oh as isize {
+                        continue;
+                    }
+                    let orow =
+                        &mut out[(co * oh + oy as usize) * ow..(co * oh + oy as usize + 1) * ow];
+                    for (ix, &val) in src[r * wd..(r + 1) * wd].iter().enumerate() {
+                        let ox = (ix * stride + v) as isize - pad as isize;
+                        if ox >= 0 && ox < ow as isize {
+                            orow[ox as usize] += val;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // hot-path: end
+}
+
+/// 2D transposed convolution forward pass (upsampling), lowered to packed
+/// GEMM.
 ///
-/// Weight layout is `[C_in, C_out, KH, KW]`.
+/// Weight layout is `[C_in, C_out, KH, KW]`: read as a
+/// `[C_in, C_out·KH·KW]` matrix `W`, its transpose `Wᵀ` is packed once per
+/// call, and `Wᵀ · X` over the image's `[C_in, H·W]` plane stack holds every
+/// tap's contribution: `out += scatter(Wᵀ · X[:, strip])`. Each image runs
+/// strip by strip (a few input rows, about 512 pixels), so the
+/// column buffer stays small; the B panels are read straight from the input
+/// planes. The bias is added last.
+///
+/// Exactness: every tap is a k-ascending GEMM sum over input channels.
+/// When `KH = KW = stride` and `pad = 0` (the model's up-convolutions)
+/// each output pixel receives exactly one tap, so for `C_in ≤ KC` it is
+/// the channel-ascending sum of the scalar scatter loop this replaced, bit
+/// for bit (that loop skipped zero inputs, but a zero product cannot change
+/// a sum that starts from `+0.0`). Overlapping kernels scatter-add several
+/// taps and agree with that loop to rounding.
+///
+/// Parallelism: batch images are independent tasks with a fixed
+/// per-element order, so results are bitwise identical at any
+/// `dco_parallel` thread count.
+///
+/// # Example
+///
+/// ```
+/// use dco_tensor::conv::conv_transpose2d_forward;
+/// use dco_tensor::Tensor;
+///
+/// // A 2×2 stride-2 kernel of ones copies each pixel into a 2×2 block.
+/// let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 1, 1, 2]);
+/// let w = Tensor::ones(&[1, 1, 2, 2]);
+/// let y = conv_transpose2d_forward(&x, &w, None, 2, 0);
+/// assert_eq!(y.data(), &[1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]);
+/// ```
 ///
 /// # Panics
 /// Panics on rank or channel mismatches.
@@ -478,131 +624,131 @@ pub fn conv_transpose2d_forward(
     let (bsz, cin, h, wd) = dims4(x.shape(), "convT input");
     let (cin2, cout, kh, kw) = dims4(w.shape(), "convT weight");
     assert_eq!(cin, cin2, "convT channel mismatch");
-    let oh = convt_out_size(h, kh, stride, pad);
-    let ow = convt_out_size(wd, kw, stride, pad);
-    let mut out = vec![0.0f32; bsz * cout * oh * ow];
-    let xd = x.data();
-    let wdta = w.data();
-    // One task per (batch, output-channel) plane. Relative to the serial
-    // loop nest this hoists `co` outermost; for any fixed output element
-    // the contributing (ci, iy, ix, u, v) iterations still run in the same
-    // order, so the scatter-accumulated sums are bitwise unchanged.
-    dco_parallel::par_chunks_mut(&mut out, oh * ow, |plane, out_plane| {
-        let (bi, co) = (plane / cout, plane % cout);
-        for ci in 0..cin {
-            let wbase = ((ci * cout + co) * kh) * kw;
-            for iy in 0..h {
-                for ix in 0..wd {
-                    let xv = xd[((bi * cin + ci) * h + iy) * wd + ix];
-                    if xv == 0.0 {
-                        continue;
-                    }
-                    for u in 0..kh {
-                        let oy = (iy * stride + u) as isize - pad as isize;
-                        if oy < 0 || oy >= oh as isize {
-                            continue;
-                        }
-                        for v in 0..kw {
-                            let ox = (ix * stride + v) as isize - pad as isize;
-                            if ox < 0 || ox >= ow as isize {
-                                continue;
-                            }
-                            out_plane[oy as usize * ow + ox as usize] +=
-                                xv * wdta[wbase + u * kw + v];
-                        }
-                    }
-                }
-            }
-        }
-    });
     if let Some(bias) = b {
         assert_eq!(bias.shape(), &[cout], "convT bias must be [C_out]");
-        for bi in 0..bsz {
-            for co in 0..cout {
-                let base = (bi * cout + co) * oh * ow;
-                let bv = bias.data()[co];
-                for v in &mut out[base..base + oh * ow] {
-                    *v += bv;
-                }
+    }
+    let oh = convt_out_size(h, kh, stride, pad);
+    let ow = convt_out_size(wd, kw, stride, pad);
+    let m = cout * kh * kw;
+    let plane = h * wd;
+    // Wᵀ [(co, u, v), ci]: packed once, shared read-only by every image.
+    let mut apack = arena::scratch_take_raw(kernel::packed_a_len(m, cin));
+    kernel::pack_a_transposed(w.data(), m, cin, &mut apack);
+    let strip_rows = (CONVT_STRIP_COLS / wd.max(1)).clamp(1, h.max(1));
+    let mut out = vec![0.0f32; bsz * cout * oh * ow];
+    let xd = x.data();
+    dco_parallel::par_chunks_mut(&mut out, cout * oh * ow, |bi, out_img| {
+        let ximg = &xd[bi * cin * plane..(bi + 1) * cin * plane];
+        let mut cols = arena::scratch_take_raw(m * strip_rows * wd);
+        let mut iy0 = 0;
+        while iy0 < h {
+            let rows = strip_rows.min(h - iy0);
+            let n = rows * wd;
+            let strip = &mut cols[..m * n];
+            kernel::gemm_fused_b(m, cin, n, &apack, None, strip, |jt, chunk, klen, panel| {
+                plane_fill_panel(ximg, plane, iy0 * wd, n, jt, chunk, klen, panel);
+            });
+            convt_scatter_strip(
+                strip,
+                (cout, oh, ow),
+                (kh, kw),
+                stride,
+                pad,
+                (iy0, rows, wd),
+                out_img,
+            );
+            iy0 += rows;
+        }
+        arena::scratch_give(cols);
+    });
+    arena::scratch_give(apack);
+    if let Some(bias) = b {
+        for (plane_idx, out_plane) in out.chunks_mut(oh * ow).enumerate() {
+            let bv = bias.data()[plane_idx % cout];
+            for v in out_plane {
+                *v += bv;
             }
         }
     }
     Tensor::from_vec(out, &[bsz, cout, oh, ow])
 }
 
-/// 2D transposed convolution backward pass. Returns `(grad_x, grad_w, grad_b)`.
-pub fn conv_transpose2d_backward(
-    x: &Tensor,
+/// Input gradient of [`conv_transpose2d_forward`]. A transposed
+/// convolution is the adjoint of a convolution with the same weights, so
+/// `∂L/∂X = conv2d(∂L/∂Y, W)` at the same stride and padding: the
+/// `[C_in, C_out, KH, KW]` weight is read as a `C_in`-filter conv2d
+/// weight, and the packed [`conv2d_forward`] kernel does the work. Each
+/// input pixel sums its `(co, u, v)` taps in ascending order — for
+/// `C_out·KH·KW ≤ KC` the same order as the reference loop, bit for bit.
+///
+/// # Panics
+/// Panics on rank or channel mismatches.
+pub fn conv_transpose2d_backward_input(
     w: &Tensor,
     stride: usize,
     pad: usize,
     gy: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    let (_bsz, cin, h, wd) = dims4(x.shape(), "convT input");
-    let (_, cout, kh, kw) = dims4(w.shape(), "convT weight");
+) -> Tensor {
+    conv2d_forward(gy, w, None, stride, pad)
+}
+
+/// Weight gradient of [`conv_transpose2d_forward`]:
+/// `∂L/∂W[ci, co, u, v] = Σ_b Σ_(iy,ix) X[b, ci, iy, ix] · ∂L/∂Y[b, co, oy, ox]`
+/// with `oy = iy·s + u − pad`, `ox = ix·s + v − pad`. Each element sums its
+/// terms in `(iy, ix)`-ascending order per image and folds images in batch
+/// order. Only training needs it (DCO freezes the weights).
+///
+/// # Panics
+/// Panics on rank, channel or output-gradient shape mismatches.
+pub fn conv_transpose2d_backward_weight(
+    x: &Tensor,
+    w_shape: &[usize],
+    stride: usize,
+    pad: usize,
+    gy: &Tensor,
+) -> Tensor {
+    let (bsz, cin, h, wd) = dims4(x.shape(), "convT input");
+    let (cin2, cout, kh, kw) = dims4(w_shape, "convT weight");
+    assert_eq!(cin, cin2, "convT channel mismatch");
     let oh = convt_out_size(h, kh, stride, pad);
     let ow = convt_out_size(wd, kw, stride, pad);
-    let mut gx = vec![0.0f32; x.len()];
-    let xd = x.data();
-    let wdta = w.data();
+    assert_eq!(gy.shape(), &[bsz, cout, oh, ow], "convT output gradient");
+    let per_out = cout * oh * ow;
     let gyd = gy.data();
-    let per_img = cin * h * wd;
-    // Per-image tasks: disjoint grad_x slices plus (grad_w, grad_b)
-    // partials folded in batch order (same association as the serial loop).
-    let parts: Vec<(Vec<f32>, Vec<f32>)> =
-        dco_parallel::par_chunks_mut(&mut gx, per_img, |bi, gx_img| {
-            let mut gw_img = vec![0.0f32; wdta.len()];
-            let mut gb_img = vec![0.0f32; cout];
-            for (co, gbv) in gb_img.iter_mut().enumerate() {
-                let obase = (bi * cout + co) * oh * ow;
-                *gbv += gyd[obase..obase + oh * ow].iter().sum::<f32>();
-            }
-            for ci in 0..cin {
-                for iy in 0..h {
-                    for ix in 0..wd {
-                        let xidx = (ci * h + iy) * wd + ix;
-                        let xv = xd[bi * per_img + xidx];
-                        let mut acc = 0.0f32;
-                        for co in 0..cout {
-                            let wbase = ((ci * cout + co) * kh) * kw;
-                            let obase = (bi * cout + co) * oh * ow;
-                            for u in 0..kh {
-                                let oy = (iy * stride + u) as isize - pad as isize;
-                                if oy < 0 || oy >= oh as isize {
-                                    continue;
-                                }
-                                for v in 0..kw {
-                                    let ox = (ix * stride + v) as isize - pad as isize;
-                                    if ox < 0 || ox >= ow as isize {
-                                        continue;
-                                    }
-                                    let g = gyd[obase + oy as usize * ow + ox as usize];
-                                    acc += g * wdta[wbase + u * kw + v];
-                                    gw_img[wbase + u * kw + v] += g * xv;
-                                }
-                            }
-                        }
-                        gx_img[xidx] += acc;
+    let wlen = cin * cout * kh * kw;
+    let parts: Vec<Vec<f32>> = dco_parallel::par_chunks(x.data(), cin * h * wd, |bi, ximg| {
+        let gyb = &gyd[bi * per_out..(bi + 1) * per_out];
+        let mut gw_img = vec![0.0f32; wlen];
+        // hot-path: convt-weight-grad
+        for (wi, gw) in gw_img.iter_mut().enumerate() {
+            let (ci, co, u, v) = (
+                wi / (cout * kh * kw),
+                (wi / (kh * kw)) % cout,
+                (wi / kw) % kh,
+                wi % kw,
+            );
+            let xplane = &ximg[ci * h * wd..(ci + 1) * h * wd];
+            let gplane = &gyb[co * oh * ow..(co + 1) * oh * ow];
+            let mut acc = 0.0f32;
+            for iy in 0..h {
+                let oy = (iy * stride + u) as isize - pad as isize;
+                if oy < 0 || oy >= oh as isize {
+                    continue;
+                }
+                let grow = &gplane[oy as usize * ow..(oy as usize + 1) * ow];
+                for (ix, &xv) in xplane[iy * wd..(iy + 1) * wd].iter().enumerate() {
+                    let ox = (ix * stride + v) as isize - pad as isize;
+                    if ox >= 0 && ox < ow as isize {
+                        acc += grow[ox as usize] * xv;
                     }
                 }
             }
-            (gw_img, gb_img)
-        });
-    let mut gw = vec![0.0f32; w.len()];
-    let mut gb = vec![0.0f32; cout];
-    for (gw_img, gb_img) in parts {
-        for (dst, src) in gw.iter_mut().zip(&gw_img) {
-            *dst += src;
+            *gw = acc;
         }
-        for (dst, src) in gb.iter_mut().zip(&gb_img) {
-            *dst += src;
-        }
-    }
-    (
-        Tensor::from_vec(gx, x.shape()),
-        Tensor::from_vec(gw, w.shape()),
-        Tensor::from_vec(gb, &[cout]),
-    )
+        // hot-path: end
+        gw_img
+    });
+    Tensor::from_vec(fold_in_order(parts, wlen), w_shape)
 }
 
 /// 2x2 (or kxk) max pooling forward. Returns the pooled tensor and the flat
@@ -625,8 +771,10 @@ pub fn maxpool2d_forward(x: &Tensor, k: usize) -> (Tensor, Vec<u32>) {
         let obase = bc * oh * ow;
         for oy in 0..oh {
             for ox in 0..ow {
+                // An all −∞ / NaN window keeps its first element as the
+                // argmax, so its gradient stays inside the window.
                 let mut best = f32::NEG_INFINITY;
-                let mut besti = 0usize;
+                let mut besti = ibase + oy * k * w + ox * k;
                 for u in 0..k {
                     for v in 0..k {
                         let i = ibase + (oy * k + u) * w + (ox * k + v);
@@ -657,6 +805,224 @@ pub fn maxpool2d_backward(indices: &[u32], input_shape: &[usize], gy: &Tensor) -
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The kernels the split backward and the packed transposed
+    /// convolution replaced, kept verbatim as bitwise references.
+    mod reference {
+        use super::super::*;
+
+        /// The combined conv2d backward: `(grad_x, grad_w, grad_b)` from one
+        /// per-image pass.
+        pub fn conv2d_backward(
+            x: &Tensor,
+            w: &Tensor,
+            stride: usize,
+            pad: usize,
+            gy: &Tensor,
+        ) -> (Tensor, Tensor, Tensor) {
+            let (_bsz, cin, h, wd) = dims4(x.shape(), "conv2d input");
+            let (cout, _, kh, kw) = dims4(w.shape(), "conv2d weight");
+            let oh = conv_out_size(h, kh, stride, pad);
+            let ow = conv_out_size(wd, kw, stride, pad);
+            let kdim = cin * kh * kw;
+            let nsp = oh * ow;
+            let mut apack_wt = arena::scratch_take_raw(kernel::packed_a_len(kdim, cout));
+            kernel::pack_a_transposed(w.data(), kdim, cout, &mut apack_wt);
+            let per_img = cin * h * wd;
+            let per_out = cout * nsp;
+            let mut gx = vec![0.0f32; x.len()];
+            let xd = x.data();
+            let gyd = gy.data();
+            let parts: Vec<(Vec<f32>, Vec<f32>)> =
+                dco_parallel::par_chunks_mut(&mut gx, per_img, |bi, gx_img| {
+                    let gyb = &gyd[bi * per_out..(bi + 1) * per_out];
+                    let mut gb_img = vec![0.0f32; cout];
+                    for (co, gbv) in gb_img.iter_mut().enumerate() {
+                        *gbv = gyb[co * nsp..(co + 1) * nsp].iter().sum::<f32>();
+                    }
+                    let mut cols = arena::scratch_take_raw(kdim * nsp);
+                    im2col_into(
+                        &xd[bi * per_img..(bi + 1) * per_img],
+                        (cin, h, wd),
+                        (kh, kw),
+                        stride,
+                        pad,
+                        &mut cols,
+                    );
+                    let mut gw_img = vec![0.0f32; cout * kdim];
+                    kernel::gemm_bt(cout, nsp, kdim, gyb, &cols, &mut gw_img);
+                    arena::scratch_give(cols);
+                    let mut bpack_gy = arena::scratch_take_raw(kernel::packed_b_len(cout, nsp));
+                    kernel::pack_b(gyb, cout, nsp, &mut bpack_gy);
+                    let mut gcols = arena::scratch_take_raw(kdim * nsp);
+                    kernel::gemm_prepacked(kdim, cout, nsp, &apack_wt, &bpack_gy, None, &mut gcols);
+                    arena::scratch_give(bpack_gy);
+                    col2im_into(&gcols, (cin, h, wd), (kh, kw), stride, pad, gx_img);
+                    arena::scratch_give(gcols);
+                    (gw_img, gb_img)
+                });
+            arena::scratch_give(apack_wt);
+            let mut gw = Tensor::zeros(&[cout, kdim]);
+            let mut gb = Tensor::zeros(&[cout]);
+            for (gw_img, gb_img) in parts {
+                for (dst, src) in gw.data_mut().iter_mut().zip(&gw_img) {
+                    *dst += src;
+                }
+                for (dst, src) in gb.data_mut().iter_mut().zip(&gb_img) {
+                    *dst += src;
+                }
+            }
+            (
+                Tensor::from_vec(gx, x.shape()),
+                gw.reshaped(&[cout, cin, kh, kw]),
+                gb,
+            )
+        }
+
+        /// The scalar transposed-convolution forward: one task per
+        /// output plane, scatter-accumulating `x · w` in channel order.
+        pub fn conv_transpose2d_forward(
+            x: &Tensor,
+            w: &Tensor,
+            b: Option<&Tensor>,
+            stride: usize,
+            pad: usize,
+        ) -> Tensor {
+            let (bsz, cin, h, wd) = dims4(x.shape(), "convT input");
+            let (_, cout, kh, kw) = dims4(w.shape(), "convT weight");
+            let oh = convt_out_size(h, kh, stride, pad);
+            let ow = convt_out_size(wd, kw, stride, pad);
+            let mut out = vec![0.0f32; bsz * cout * oh * ow];
+            let xd = x.data();
+            let wdta = w.data();
+            dco_parallel::par_chunks_mut(&mut out, oh * ow, |plane, out_plane| {
+                let (bi, co) = (plane / cout, plane % cout);
+                for ci in 0..cin {
+                    let wbase = ((ci * cout + co) * kh) * kw;
+                    for iy in 0..h {
+                        for ix in 0..wd {
+                            let xv = xd[((bi * cin + ci) * h + iy) * wd + ix];
+                            if xv == 0.0 {
+                                continue;
+                            }
+                            for u in 0..kh {
+                                let oy = (iy * stride + u) as isize - pad as isize;
+                                if oy < 0 || oy >= oh as isize {
+                                    continue;
+                                }
+                                for v in 0..kw {
+                                    let ox = (ix * stride + v) as isize - pad as isize;
+                                    if ox < 0 || ox >= ow as isize {
+                                        continue;
+                                    }
+                                    out_plane[oy as usize * ow + ox as usize] +=
+                                        xv * wdta[wbase + u * kw + v];
+                                }
+                            }
+                        }
+                    }
+                }
+            });
+            if let Some(bias) = b {
+                for bi in 0..bsz {
+                    for co in 0..cout {
+                        let base = (bi * cout + co) * oh * ow;
+                        let bv = bias.data()[co];
+                        for v in &mut out[base..base + oh * ow] {
+                            *v += bv;
+                        }
+                    }
+                }
+            }
+            Tensor::from_vec(out, &[bsz, cout, oh, ow])
+        }
+
+        /// The scalar transposed-convolution backward:
+        /// `(grad_x, grad_w, grad_b)` from one per-image loop nest.
+        pub fn conv_transpose2d_backward(
+            x: &Tensor,
+            w: &Tensor,
+            stride: usize,
+            pad: usize,
+            gy: &Tensor,
+        ) -> (Tensor, Tensor, Tensor) {
+            let (_bsz, cin, h, wd) = dims4(x.shape(), "convT input");
+            let (_, cout, kh, kw) = dims4(w.shape(), "convT weight");
+            let oh = convt_out_size(h, kh, stride, pad);
+            let ow = convt_out_size(wd, kw, stride, pad);
+            let mut gx = vec![0.0f32; x.len()];
+            let xd = x.data();
+            let wdta = w.data();
+            let gyd = gy.data();
+            let per_img = cin * h * wd;
+            let parts: Vec<(Vec<f32>, Vec<f32>)> =
+                dco_parallel::par_chunks_mut(&mut gx, per_img, |bi, gx_img| {
+                    let mut gw_img = vec![0.0f32; wdta.len()];
+                    let mut gb_img = vec![0.0f32; cout];
+                    for (co, gbv) in gb_img.iter_mut().enumerate() {
+                        let obase = (bi * cout + co) * oh * ow;
+                        *gbv += gyd[obase..obase + oh * ow].iter().sum::<f32>();
+                    }
+                    for ci in 0..cin {
+                        for iy in 0..h {
+                            for ix in 0..wd {
+                                let xidx = (ci * h + iy) * wd + ix;
+                                let xv = xd[bi * per_img + xidx];
+                                let mut acc = 0.0f32;
+                                for co in 0..cout {
+                                    let wbase = ((ci * cout + co) * kh) * kw;
+                                    let obase = (bi * cout + co) * oh * ow;
+                                    for u in 0..kh {
+                                        let oy = (iy * stride + u) as isize - pad as isize;
+                                        if oy < 0 || oy >= oh as isize {
+                                            continue;
+                                        }
+                                        for v in 0..kw {
+                                            let ox = (ix * stride + v) as isize - pad as isize;
+                                            if ox < 0 || ox >= ow as isize {
+                                                continue;
+                                            }
+                                            let g = gyd[obase + oy as usize * ow + ox as usize];
+                                            acc += g * wdta[wbase + u * kw + v];
+                                            gw_img[wbase + u * kw + v] += g * xv;
+                                        }
+                                    }
+                                }
+                                gx_img[xidx] += acc;
+                            }
+                        }
+                    }
+                    (gw_img, gb_img)
+                });
+            let mut gw = vec![0.0f32; w.len()];
+            let mut gb = vec![0.0f32; cout];
+            for (gw_img, gb_img) in parts {
+                for (dst, src) in gw.iter_mut().zip(&gw_img) {
+                    *dst += src;
+                }
+                for (dst, src) in gb.iter_mut().zip(&gb_img) {
+                    *dst += src;
+                }
+            }
+            (
+                Tensor::from_vec(gx, x.shape()),
+                Tensor::from_vec(gw, w.shape()),
+                Tensor::from_vec(gb, &[cout]),
+            )
+        }
+    }
+
+    fn fixture(shape: &[usize], seed: f32) -> Tensor {
+        let n = shape.iter().product::<usize>();
+        Tensor::from_vec((0..n).map(|v| (v as f32 * seed).sin()).collect(), shape)
+    }
+
+    fn assert_same_bits(what: &str, a: &Tensor, b: &Tensor) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+        }
+    }
 
     #[test]
     fn conv2d_identity_kernel() {
@@ -697,7 +1063,9 @@ mod tests {
             &[2, 2, 2, 2],
         );
         let gy = Tensor::ones(&[1, 2, 2, 2]);
-        let (gx, gw, gb) = conv2d_backward(&x, &w, 1, 0, &gy);
+        let gx = conv2d_backward_input(x.shape(), &w, 1, 0, &gy);
+        let gw = conv2d_backward_weight(&x, w.shape(), 1, 0, &gy);
+        let gb = bias_chan_backward(&gy);
         let f = |x: &Tensor, w: &Tensor| conv2d_forward(x, w, None, 1, 0).sum();
         let eps = 1e-2f32;
         for i in 0..x.len() {
@@ -784,7 +1152,8 @@ mod tests {
             &[2, 3, 2, 2],
         );
         let gy = Tensor::ones(&[1, 3, 4, 4]);
-        let (gx, gw, _gb) = conv_transpose2d_backward(&x, &w, 2, 0, &gy);
+        let gx = conv_transpose2d_backward_input(&w, 2, 0, &gy);
+        let gw = conv_transpose2d_backward_weight(&x, w.shape(), 2, 0, &gy);
         let f = |x: &Tensor, w: &Tensor| conv_transpose2d_forward(x, w, None, 2, 0).sum();
         let eps = 1e-2f32;
         for i in 0..x.len() {
@@ -828,5 +1197,120 @@ mod tests {
         assert_eq!(gx.data()[1], 1.0); // max 5 at flat index 1
         assert_eq!(gx.data()[10], 4.0); // max 9 at flat index 10
         assert_eq!(gx.sum(), 10.0);
+    }
+
+    #[test]
+    fn convt_packed_matches_scalar_reference_bitwise_when_kernel_equals_stride() {
+        // Odd channel counts, non-square maps, batch 1 and 2, with and
+        // without bias; some zero inputs exercise the reference's skip.
+        for &(bsz, cin, cout, h, w, k) in &[
+            (1usize, 3usize, 5usize, 7usize, 5usize, 2usize),
+            (2, 5, 3, 4, 9, 2),
+            (1, 1, 1, 3, 3, 3),
+            // several strips per image, and a row wider than one strip
+            (2, 7, 2, 200, 3, 2),
+            (1, 2, 3, 2, 600, 2),
+        ] {
+            let mut x = fixture(&[bsz, cin, h, w], 0.37);
+            for v in x.data_mut().iter_mut().step_by(5) {
+                *v = 0.0;
+            }
+            let wt = fixture(&[cin, cout, k, k], 0.61);
+            let bias = fixture(&[cout], 0.9);
+            for b in [None, Some(&bias)] {
+                let fast = conv_transpose2d_forward(&x, &wt, b, k, 0);
+                let slow = reference::conv_transpose2d_forward(&x, &wt, b, k, 0);
+                assert_same_bits("convT forward", &fast, &slow);
+            }
+        }
+    }
+
+    #[test]
+    fn convt_packed_matches_scalar_reference_when_taps_overlap() {
+        let x = fixture(&[2, 3, 5, 6], 0.29);
+        let wt = fixture(&[3, 4, 3, 3], 0.53);
+        let bias = fixture(&[4], 1.3);
+        let fast = conv_transpose2d_forward(&x, &wt, Some(&bias), 2, 1);
+        let slow = reference::conv_transpose2d_forward(&x, &wt, Some(&bias), 2, 1);
+        assert_eq!(fast.shape(), &[2, 4, 9, 11]);
+        assert_eq!(fast.shape(), slow.shape());
+        for (i, (&a, &b)) in fast.data().iter().zip(slow.data()).enumerate() {
+            assert!(
+                (a - b).abs() < 1e-5 * (1.0 + b.abs()),
+                "mismatch at {i}: packed {a} vs reference {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn conv2d_split_backward_matches_combined_bitwise() {
+        for &(bsz, cin, h, w, cout, k, stride, pad) in &[
+            (
+                1usize, 3usize, 5usize, 7usize, 4usize, 3usize, 1usize, 1usize,
+            ),
+            (2, 2, 9, 11, 5, 3, 2, 1),
+            (3, 4, 7, 5, 6, 1, 1, 0),
+        ] {
+            let x = fixture(&[bsz, cin, h, w], 0.41);
+            let wt = fixture(&[cout, cin, k, k], 0.23);
+            let oh = conv_out_size(h, k, stride, pad);
+            let ow = conv_out_size(w, k, stride, pad);
+            let gy = fixture(&[bsz, cout, oh, ow], 0.07);
+            let (gx, gw, gb) = reference::conv2d_backward(&x, &wt, stride, pad, &gy);
+            let gx_split = conv2d_backward_input(x.shape(), &wt, stride, pad, &gy);
+            let gw_split = conv2d_backward_weight(&x, wt.shape(), stride, pad, &gy);
+            assert_same_bits("conv2d grad_x", &gx_split, &gx);
+            assert_same_bits("conv2d grad_w", &gw_split, &gw);
+            assert_same_bits("conv2d grad_b", &bias_chan_backward(&gy), &gb);
+        }
+    }
+
+    #[test]
+    fn convt_split_backward_matches_scalar_bitwise() {
+        // k = stride (the model's shape) and an overlapping, padded kernel.
+        for &(bsz, cin, cout, h, w, k, stride, pad) in &[
+            (
+                1usize, 3usize, 5usize, 7usize, 5usize, 2usize, 2usize, 0usize,
+            ),
+            (2, 5, 3, 4, 9, 2, 2, 0),
+            (2, 3, 4, 5, 6, 3, 2, 1),
+        ] {
+            let x = fixture(&[bsz, cin, h, w], 0.31);
+            let wt = fixture(&[cin, cout, k, k], 0.17);
+            let oh = convt_out_size(h, k, stride, pad);
+            let ow = convt_out_size(w, k, stride, pad);
+            let gy = fixture(&[bsz, cout, oh, ow], 0.11);
+            let (gx, gw, gb) = reference::conv_transpose2d_backward(&x, &wt, stride, pad, &gy);
+            let gx_split = conv_transpose2d_backward_input(&wt, stride, pad, &gy);
+            let gw_split = conv_transpose2d_backward_weight(&x, wt.shape(), stride, pad, &gy);
+            assert_same_bits("convT grad_x", &gx_split, &gx);
+            assert_same_bits("convT grad_w", &gw_split, &gw);
+            assert_same_bits("convT grad_b", &bias_chan_backward(&gy), &gb);
+        }
+    }
+
+    #[test]
+    fn maxpool_non_finite_window_keeps_gradient_in_its_channel() {
+        // Channel 1 is all −∞: its argmax must be its own first pixel, not
+        // flat index 0 (channel 0's pixel).
+        let mut v = vec![1.0, 2.0, 3.0, 4.0];
+        v.extend([f32::NEG_INFINITY; 4]);
+        let x = Tensor::from_vec(v, &[1, 2, 2, 2]);
+        let (y, idx) = maxpool2d_forward(&x, 2);
+        assert_eq!(y.data(), &[4.0, f32::NEG_INFINITY]);
+        assert_eq!(idx, vec![3, 4]);
+        let gx = maxpool2d_backward(
+            &idx,
+            x.shape(),
+            &Tensor::from_vec(vec![1.0, 10.0], &[1, 2, 1, 1]),
+        );
+        assert_eq!(gx.data(), &[0.0, 0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0]);
+        // An all-NaN window likewise keeps its gradient inside the window.
+        let x = Tensor::from_vec(
+            vec![0.5, 0.0, 0.0, 0.0, f32::NAN, f32::NAN, f32::NAN, f32::NAN],
+            &[1, 2, 2, 2],
+        );
+        let (_, idx) = maxpool2d_forward(&x, 2);
+        assert_eq!(idx, vec![0, 4]);
     }
 }

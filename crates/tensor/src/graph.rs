@@ -19,7 +19,8 @@
 //! ```
 
 use crate::conv::{
-    conv2d_backward, conv2d_forward, conv_transpose2d_backward, conv_transpose2d_forward,
+    bias_chan_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
+    conv_transpose2d_backward_input, conv_transpose2d_backward_weight, conv_transpose2d_forward,
     maxpool2d_backward, maxpool2d_forward,
 };
 use crate::{Csr, Tensor};
@@ -563,18 +564,15 @@ impl Graph {
 
     // ---- backward ------------------------------------------------------------
 
-    fn accum(&mut self, v: Var, g: Tensor) {
-        if !self.nodes[v.0].requires_grad {
-            return;
-        }
-        match &mut self.nodes[v.0].grad {
-            Some(existing) => existing.add_assign(&g),
-            slot @ None => *slot = Some(g),
-        }
-    }
-
     /// Backpropagate from scalar `target`, filling gradients of every
     /// gradient-requiring node reachable from it.
+    ///
+    /// Each op computes only the operand gradients whose node
+    /// `requires_grad`. A frozen weight (a [`Graph::input`], as in
+    /// DCO's pass through the trained UNet) costs no weight GEMM and no
+    /// bias reduction; an input-feature operand costs no input-gradient
+    /// GEMM. Node values and the upstream gradient are borrowed, not
+    /// copied.
     ///
     /// # Panics
     /// Panics if `target` is not a scalar (one element).
@@ -592,85 +590,134 @@ impl Graph {
         }
         self.nodes[target.0].grad = Some(Tensor::ones(self.value(target).shape()));
         for i in (0..=target.0).rev() {
-            if !self.nodes[i].requires_grad {
+            // Operands always precede their node on the tape.
+            let (operands, rest) = self.nodes.split_at_mut(i);
+            let node = &rest[0];
+            if !node.requires_grad {
                 continue;
             }
-            let gy = match &self.nodes[i].grad {
-                Some(g) => g.clone(),
-                None => continue,
-            };
-            let op = self.nodes[i].op.clone();
-            match op {
-                Op::Leaf => {}
-                Op::Add(a, b) => {
-                    self.accum(a, gy.clone());
-                    self.accum(b, gy);
-                }
-                Op::Sub(a, b) => {
-                    self.accum(a, gy.clone());
+            if let Some(gy) = &node.grad {
+                Operands(operands).backprop(node, gy);
+            }
+        }
+    }
+}
+
+/// The tape before the node being differentiated: every operand it can
+/// name, borrowed mutably so their gradients accumulate in place.
+struct Operands<'a>(&'a mut [Node]);
+
+impl Operands<'_> {
+    fn value(&self, v: Var) -> &Tensor {
+        &self.0[v.0].value
+    }
+
+    fn needs(&self, v: Var) -> bool {
+        self.0[v.0].requires_grad
+    }
+
+    /// Add `g` into `v`'s gradient; a no-op for nodes that need none.
+    fn accum(&mut self, v: Var, g: Tensor) {
+        let node = &mut self.0[v.0];
+        if !node.requires_grad {
+            return;
+        }
+        match &mut node.grad {
+            Some(existing) => existing.add_assign(&g),
+            slot @ None => *slot = Some(g),
+        }
+    }
+
+    /// [`Self::accum`] for a pass-through gradient: copied only into an
+    /// empty slot.
+    fn accum_ref(&mut self, v: Var, g: &Tensor) {
+        let node = &mut self.0[v.0];
+        if !node.requires_grad {
+            return;
+        }
+        match &mut node.grad {
+            Some(existing) => existing.add_assign(g),
+            slot @ None => *slot = Some(g.clone()),
+        }
+    }
+
+    /// Propagate `node`'s output gradient `gy` to its operands.
+    fn backprop(&mut self, node: &Node, gy: &Tensor) {
+        match &node.op {
+            Op::Leaf => {}
+            &Op::Add(a, b) => {
+                self.accum_ref(a, gy);
+                self.accum_ref(b, gy);
+            }
+            &Op::Sub(a, b) => {
+                self.accum_ref(a, gy);
+                if self.needs(b) {
                     self.accum(b, gy.map(|v| -v));
                 }
-                Op::Mul(a, b) => {
-                    let av = self.value(a).clone();
-                    let bv = self.value(b).clone();
-                    self.accum(a, gy.zip(&bv, |g, y| g * y));
-                    self.accum(b, gy.zip(&av, |g, x| g * x));
+            }
+            &Op::Mul(a, b) => {
+                if self.needs(a) {
+                    self.accum(a, gy.zip(self.value(b), |g, y| g * y));
                 }
-                Op::Div(a, b) => {
-                    let av = self.value(a).clone();
-                    let bv = self.value(b).clone();
-                    self.accum(a, gy.zip(&bv, |g, y| g / y));
-                    let gb = gy.zip(&av, |g, x| g * x).zip(&bv, |gx_, y| -gx_ / (y * y));
+                if self.needs(b) {
+                    self.accum(b, gy.zip(self.value(a), |g, x| g * x));
+                }
+            }
+            &Op::Div(a, b) => {
+                if self.needs(a) {
+                    self.accum(a, gy.zip(self.value(b), |g, y| g / y));
+                }
+                if self.needs(b) {
+                    let gb = gy
+                        .zip(self.value(a), |g, x| g * x)
+                        .zip(self.value(b), |gx_, y| -gx_ / (y * y));
                     self.accum(b, gb);
                 }
-                Op::Neg(a) => self.accum(a, gy.map(|v| -v)),
-                Op::AddScalar(a, _) => self.accum(a, gy),
-                Op::MulScalar(a, s) => self.accum(a, gy.map(|v| v * s)),
-                Op::Relu(a) => {
-                    let av = self.value(a).clone();
-                    self.accum(a, gy.zip(&av, |g, x| if x > 0.0 { g } else { 0.0 }));
+            }
+            &Op::Neg(a) => self.accum(a, gy.map(|v| -v)),
+            &Op::AddScalar(a, _) => self.accum_ref(a, gy),
+            &Op::MulScalar(a, s) => self.accum(a, gy.map(|v| v * s)),
+            &Op::Relu(a) => {
+                self.accum(
+                    a,
+                    gy.zip(self.value(a), |g, x| if x > 0.0 { g } else { 0.0 }),
+                );
+            }
+            &Op::LeakyRelu(a, alpha) => {
+                let g = gy.zip(self.value(a), |g, x| if x >= 0.0 { g } else { alpha * g });
+                self.accum(a, g);
+            }
+            &Op::Sigmoid(a) => self.accum(a, gy.zip(&node.value, |g, y| g * y * (1.0 - y))),
+            &Op::Tanh(a) => self.accum(a, gy.zip(&node.value, |g, y| g * (1.0 - y * y))),
+            &Op::Softplus(a) => {
+                self.accum(a, gy.zip(self.value(a), |g, x| g / (1.0 + (-x).exp())));
+            }
+            &Op::Sqrt(a) => {
+                let g = gy.zip(
+                    &node.value,
+                    |g, y| if y > 1e-12 { g / (2.0 * y) } else { 0.0 },
+                );
+                self.accum(a, g);
+            }
+            &Op::Square(a) => self.accum(a, gy.zip(self.value(a), |g, x| 2.0 * g * x)),
+            &Op::Clamp(a, lo, hi) => {
+                let g = gy.zip(
+                    self.value(a),
+                    |g, x| if x >= lo && x <= hi { g } else { 0.0 },
+                );
+                self.accum(a, g);
+            }
+            &Op::Matmul(a, b) => {
+                if self.needs(a) {
+                    self.accum(a, gy.matmul(&self.value(b).transposed()));
                 }
-                Op::LeakyRelu(a, alpha) => {
-                    let av = self.value(a).clone();
-                    self.accum(a, gy.zip(&av, |g, x| if x >= 0.0 { g } else { alpha * g }));
+                if self.needs(b) {
+                    self.accum(b, self.value(a).transposed().matmul(gy));
                 }
-                Op::Sigmoid(a) => {
-                    let yv = self.nodes[i].value.clone();
-                    self.accum(a, gy.zip(&yv, |g, y| g * y * (1.0 - y)));
-                }
-                Op::Tanh(a) => {
-                    let yv = self.nodes[i].value.clone();
-                    self.accum(a, gy.zip(&yv, |g, y| g * (1.0 - y * y)));
-                }
-                Op::Softplus(a) => {
-                    let av = self.value(a).clone();
-                    self.accum(a, gy.zip(&av, |g, x| g / (1.0 + (-x).exp())));
-                }
-                Op::Sqrt(a) => {
-                    let yv = self.nodes[i].value.clone();
-                    self.accum(
-                        a,
-                        gy.zip(&yv, |g, y| if y > 1e-12 { g / (2.0 * y) } else { 0.0 }),
-                    );
-                }
-                Op::Square(a) => {
-                    let av = self.value(a).clone();
-                    self.accum(a, gy.zip(&av, |g, x| 2.0 * g * x));
-                }
-                Op::Clamp(a, lo, hi) => {
-                    let av = self.value(a).clone();
-                    self.accum(
-                        a,
-                        gy.zip(&av, |g, x| if x >= lo && x <= hi { g } else { 0.0 }),
-                    );
-                }
-                Op::Matmul(a, b) => {
-                    let av = self.value(a).clone();
-                    let bv = self.value(b).clone();
-                    self.accum(a, gy.matmul(&bv.transposed()));
-                    self.accum(b, av.transposed().matmul(&gy));
-                }
-                Op::AddBiasRow(x, b) => {
+            }
+            &Op::AddBiasRow(x, b) => {
+                self.accum_ref(x, gy);
+                if self.needs(b) {
                     let n = self.value(b).len();
                     let rows = gy.len() / n;
                     let mut gb = Tensor::zeros(&[n]);
@@ -679,81 +726,82 @@ impl Graph {
                             gb.data_mut()[j] += gy.data()[r * n + j];
                         }
                     }
-                    self.accum(x, gy);
                     self.accum(b, gb);
                 }
-                Op::AddBiasChan(x, b) => {
-                    let c = self.value(b).len();
-                    let shape = gy.shape().to_vec();
-                    let (bsz, h, w) = (shape[0], shape[2], shape[3]);
-                    let mut gb = Tensor::zeros(&[c]);
-                    for bi in 0..bsz {
-                        for ci in 0..c {
-                            let base = (bi * c + ci) * h * w;
-                            gb.data_mut()[ci] += gy.data()[base..base + h * w].iter().sum::<f32>();
-                        }
-                    }
-                    self.accum(x, gy);
-                    self.accum(b, gb);
+            }
+            &Op::AddBiasChan(x, b) => {
+                self.accum_ref(x, gy);
+                if self.needs(b) {
+                    self.accum(b, bias_chan_backward(gy));
                 }
-                Op::SumAll(a) => {
-                    let g = gy.data()[0];
-                    let shape = self.value(a).shape().to_vec();
-                    self.accum(a, Tensor::full(&shape, g));
-                }
-                Op::MeanAll(a) => {
-                    let n = self.value(a).len().max(1);
-                    let g = gy.data()[0] / n as f32;
-                    let shape = self.value(a).shape().to_vec();
-                    self.accum(a, Tensor::full(&shape, g));
-                }
-                Op::Reshape(a) => {
-                    let shape = self.value(a).shape().to_vec();
-                    self.accum(a, gy.reshaped(&shape));
-                }
-                Op::Conv2d {
-                    x,
-                    w,
-                    b,
-                    stride,
-                    pad,
-                } => {
-                    let xv = self.value(x).clone();
-                    let wv = self.value(w).clone();
-                    let (gx, gw, gb) = conv2d_backward(&xv, &wv, stride, pad, &gy);
+            }
+            &Op::SumAll(a) => {
+                let g = Tensor::full(self.value(a).shape(), gy.data()[0]);
+                self.accum(a, g);
+            }
+            &Op::MeanAll(a) => {
+                let n = self.value(a).len().max(1);
+                let g = Tensor::full(self.value(a).shape(), gy.data()[0] / n as f32);
+                self.accum(a, g);
+            }
+            &Op::Reshape(a) => {
+                let g = gy.clone().reshaped(self.value(a).shape());
+                self.accum(a, g);
+            }
+            &Op::Conv2d {
+                x,
+                w,
+                b,
+                stride,
+                pad,
+            } => {
+                if self.needs(x) {
+                    let shape = self.value(x).shape();
+                    let gx = conv2d_backward_input(shape, self.value(w), stride, pad, gy);
                     self.accum(x, gx);
-                    self.accum(w, gw);
-                    if let Some(bb) = b {
-                        self.accum(bb, gb);
-                    }
                 }
-                Op::ConvT2d {
-                    x,
-                    w,
-                    b,
-                    stride,
-                    pad,
-                } => {
-                    let xv = self.value(x).clone();
-                    let wv = self.value(w).clone();
-                    let (gx, gw, gb) = conv_transpose2d_backward(&xv, &wv, stride, pad, &gy);
+                if self.needs(w) {
+                    let shape = self.value(w).shape();
+                    let gw = conv2d_backward_weight(self.value(x), shape, stride, pad, gy);
+                    self.accum(w, gw);
+                }
+                if let Some(b) = b.filter(|&b| self.needs(b)) {
+                    self.accum(b, bias_chan_backward(gy));
+                }
+            }
+            &Op::ConvT2d {
+                x,
+                w,
+                b,
+                stride,
+                pad,
+            } => {
+                if self.needs(x) {
+                    let gx = conv_transpose2d_backward_input(self.value(w), stride, pad, gy);
                     self.accum(x, gx);
+                }
+                if self.needs(w) {
+                    let shape = self.value(w).shape();
+                    let gw =
+                        conv_transpose2d_backward_weight(self.value(x), shape, stride, pad, gy);
                     self.accum(w, gw);
-                    if let Some(bb) = b {
-                        self.accum(bb, gb);
-                    }
                 }
-                Op::MaxPool2d { x, k: _, indices } => {
-                    let shape = self.value(x).shape().to_vec();
-                    self.accum(x, maxpool2d_backward(&indices, &shape, &gy));
+                if let Some(b) = b.filter(|&b| self.needs(b)) {
+                    self.accum(b, bias_chan_backward(gy));
                 }
-                Op::ConcatChan(parts) => {
-                    let shape = gy.shape().to_vec();
-                    let (bsz, c_total, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-                    let plane = h * w;
-                    let mut c_off = 0;
-                    for &p in parts.iter() {
-                        let c = self.value(p).shape()[1];
+            }
+            Op::MaxPool2d { x, k: _, indices } => {
+                let gx = maxpool2d_backward(indices, self.value(*x).shape(), gy);
+                self.accum(*x, gx);
+            }
+            Op::ConcatChan(parts) => {
+                let shape = gy.shape();
+                let (bsz, c_total, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+                let plane = h * w;
+                let mut c_off = 0;
+                for &p in parts.iter() {
+                    let c = self.value(p).shape()[1];
+                    if self.needs(p) {
                         let mut gp = Tensor::zeros(&[bsz, c, h, w]);
                         for bi in 0..bsz {
                             for ci in 0..c {
@@ -764,53 +812,49 @@ impl Graph {
                             }
                         }
                         self.accum(p, gp);
-                        c_off += c;
+                    }
+                    c_off += c;
+                }
+            }
+            &Op::SliceChan { x, start, len } => {
+                let shape = self.value(x).shape();
+                let (bsz, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+                let plane = h * w;
+                let mut gx = Tensor::zeros(shape);
+                for bi in 0..bsz {
+                    for ci in 0..len {
+                        let dbase = (bi * c + start + ci) * plane;
+                        let sbase = (bi * len + ci) * plane;
+                        gx.data_mut()[dbase..dbase + plane]
+                            .copy_from_slice(&gy.data()[sbase..sbase + plane]);
                     }
                 }
-                Op::SliceChan { x, start, len } => {
-                    let shape = self.value(x).shape().to_vec();
-                    let (bsz, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-                    let plane = h * w;
-                    let mut gx = Tensor::zeros(&shape);
-                    for bi in 0..bsz {
-                        for ci in 0..len {
-                            let dbase = (bi * c + start + ci) * plane;
-                            let sbase = (bi * len + ci) * plane;
-                            gx.data_mut()[dbase..dbase + plane]
-                                .copy_from_slice(&gy.data()[sbase..sbase + plane]);
-                        }
+                self.accum(x, gx);
+            }
+            &Op::SliceCols { x, start, len } => {
+                let shape = self.value(x).shape();
+                let (rows, cols) = (shape[0], shape[1]);
+                let mut gx = Tensor::zeros(shape);
+                for r in 0..rows {
+                    for j in 0..len {
+                        gx.data_mut()[r * cols + start + j] = gy.data()[r * len + j];
                     }
-                    self.accum(x, gx);
                 }
-                Op::SliceCols { x, start, len } => {
-                    let shape = self.value(x).shape().to_vec();
-                    let (rows, cols) = (shape[0], shape[1]);
-                    let mut gx = Tensor::zeros(&shape);
-                    for r in 0..rows {
-                        for j in 0..len {
-                            gx.data_mut()[r * cols + start + j] = gy.data()[r * len + j];
-                        }
-                    }
-                    self.accum(x, gx);
-                }
-                Op::Spmm { a, x } => {
-                    self.accum(x, a.transpose_matmul_dense(&gy));
-                }
-                Op::Custom { op, inputs } => {
-                    let vals: Vec<Tensor> = inputs.iter().map(|&v| self.value(v).clone()).collect();
-                    let refs: Vec<&Tensor> = vals.iter().collect();
-                    let out = self.nodes[i].value.clone();
-                    let grads = op.backward(&refs, &out, &gy);
-                    assert_eq!(
-                        grads.len(),
-                        inputs.len(),
-                        "custom op {} returned wrong gradient count",
-                        op.name()
-                    );
-                    for (&inp, g) in inputs.iter().zip(grads) {
-                        if let Some(g) = g {
-                            self.accum(inp, g);
-                        }
+                self.accum(x, gx);
+            }
+            Op::Spmm { a, x } => self.accum(*x, a.transpose_matmul_dense(gy)),
+            Op::Custom { op, inputs } => {
+                let vals: Vec<&Tensor> = inputs.iter().map(|&v| self.value(v)).collect();
+                let grads = op.backward(&vals, &node.value, gy);
+                assert_eq!(
+                    grads.len(),
+                    inputs.len(),
+                    "custom op {} returned wrong gradient count",
+                    op.name()
+                );
+                for (&inp, g) in inputs.iter().zip(grads) {
+                    if let Some(g) = g {
+                        self.accum(inp, g);
                     }
                 }
             }

@@ -382,6 +382,49 @@ mod tests {
     }
 
     #[test]
+    fn frozen_forward_gives_the_same_input_gradients_as_trainable_forward() {
+        // DCO differentiates through frozen weights; skipping their
+        // gradients must not move a single bit of the input gradients.
+        let mut model = SiameseUNet::new(tiny_cfg(), 6);
+        let f0 = Tensor::from_vec(
+            (0..7 * 64).map(|v| (v as f32 * 0.37).sin()).collect(),
+            &[1, 7, 8, 8],
+        );
+        let f1 = Tensor::from_vec(
+            (0..7 * 64).map(|v| (v as f32 * 0.53).cos()).collect(),
+            &[1, 7, 8, 8],
+        );
+        let label = Tensor::full(&[1, 1, 8, 8], 0.3);
+        let mut input_grads = |frozen: bool| {
+            let mut g = Graph::new();
+            let x0 = g.param(f0.clone());
+            let x1 = g.param(f1.clone());
+            let pred = if frozen {
+                model.forward_frozen(&mut g, x0, x1)
+            } else {
+                model.forward(&mut g, x0, x1)
+            };
+            let y0 = g.input(label.clone());
+            let y1 = g.input(label.clone());
+            let loss = SiameseUNet::loss(&mut g, pred, (y0, y1));
+            g.backward(loss);
+            let bits = |v: Var| -> Vec<u32> {
+                let grad = g.grad(v).expect("input gradient");
+                grad.data().iter().map(|x| x.to_bits()).collect()
+            };
+            (bits(x0), bits(x1))
+        };
+        let frozen = input_grads(true);
+        let trainable = input_grads(false);
+        assert!(
+            frozen.0.iter().any(|&b| b != 0),
+            "no gradient reached die 0"
+        );
+        assert_eq!(frozen.0, trainable.0, "die 0 input gradients differ");
+        assert_eq!(frozen.1, trainable.1, "die 1 input gradients differ");
+    }
+
+    #[test]
     fn raw_predictions_are_finite() {
         let model = SiameseUNet::new(tiny_cfg(), 5);
         let f = Tensor::from_vec(

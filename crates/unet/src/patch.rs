@@ -11,10 +11,14 @@
 //! field, and the tensor kernels accumulate each output element in a
 //! fixed k-ascending order that does not depend on the spatial size
 //! (`conv2d_forward` lowers to an im2col GEMM whose K blocking is
-//! independent of the output position; `conv_transpose2d_forward` with
-//! kernel 2 / stride 2 gives each output pixel exactly one tap per input
-//! channel, folded in channel order). So an output pixel whose receptive
-//! field sees identical input values computes the identical f32 sum.
+//! independent of the output position; `conv_transpose2d_forward` lowers
+//! to the same packed GEMM, `Wᵀ · X` over a strip of input pixels, whose
+//! K dimension is the input channels — with kernel 2 / stride 2 each output
+//! pixel is one entry of that product, scattered once, so its value is a
+//! channel-ascending sum that depends neither on where the pixel sits nor
+//! on how the image was cut into strips). So an output pixel whose
+//! receptive field sees identical input values computes the identical f32
+//! sum.
 //!
 //! Tracing the three skip paths of the network at full resolution:
 //!

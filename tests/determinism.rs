@@ -10,7 +10,10 @@ use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::Design;
 use dco_place::{GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
-use dco_tensor::conv::{conv2d_backward, conv2d_forward};
+use dco_tensor::conv::{
+    bias_chan_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
+    conv_transpose2d_backward_input, conv_transpose2d_backward_weight, conv_transpose2d_forward,
+};
 use dco_tensor::Tensor;
 use dco_timing::Sta;
 use dco_unet::{SiameseUNet, UNetConfig};
@@ -69,10 +72,39 @@ fn conv2d_forward_and_backward_are_thread_invariant() {
         dco_parallel::checksum_f32(conv2d_forward(&x, &w, Some(&b), 1, 1).data())
     });
     assert_thread_invariant("conv2d_backward", || {
-        let (gx, gw, gb) = conv2d_backward(&x, &w, 1, 1, &gy);
+        let gx = conv2d_backward_input(x.shape(), &w, 1, 1, &gy);
+        let gw = conv2d_backward_weight(&x, w.shape(), 1, 1, &gy);
+        let gb = bias_chan_backward(&gy);
         let mut c = dco_parallel::checksum_f32(gx.data());
         c = dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gw.data()));
         dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gb.data()))
+    });
+}
+
+#[test]
+fn conv_transpose2d_forward_and_backward_are_thread_invariant() {
+    // The UNet's 2×2 stride-2 up-sampling shape, batch 2 (one task per
+    // image), 5 → 3 channels on a non-square map.
+    let x = Tensor::from_vec(
+        (0..2 * 5 * 12 * 10)
+            .map(|i| ((i as f32) * 0.43).sin())
+            .collect(),
+        &[2, 5, 12, 10],
+    );
+    let w = Tensor::from_vec(
+        (0..5 * 3 * 4).map(|i| ((i as f32) * 0.27).cos()).collect(),
+        &[5, 3, 2, 2],
+    );
+    let b = Tensor::from_vec(vec![0.1, -0.2, 0.3], &[3]);
+    let gy = conv_transpose2d_forward(&x, &w, Some(&b), 2, 0).map(|v| (v * 0.2).tanh());
+    assert_thread_invariant("conv_transpose2d_forward", || {
+        dco_parallel::checksum_f32(conv_transpose2d_forward(&x, &w, Some(&b), 2, 0).data())
+    });
+    assert_thread_invariant("conv_transpose2d_backward", || {
+        let gx = conv_transpose2d_backward_input(&w, 2, 0, &gy);
+        let gw = conv_transpose2d_backward_weight(&x, w.shape(), 2, 0, &gy);
+        let c = dco_parallel::checksum_f32(gx.data());
+        dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(gw.data()))
     });
 }
 

@@ -5,11 +5,29 @@
 //! (non-square, non-power-of-two spatial dims) and bitwise identity between
 //! arena-pooled and plain-heap execution.
 
-use dco_tensor::conv::{conv2d_backward, conv2d_forward};
+use dco_tensor::conv::{
+    bias_chan_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
+    conv_transpose2d_backward_input, conv_transpose2d_backward_weight, conv_transpose2d_forward,
+};
 use dco_tensor::Tensor;
 
 fn fixture(n: usize, scale: f32) -> Vec<f32> {
     (0..n).map(|v| (v as f32 * scale).sin()).collect()
+}
+
+/// All three conv2d gradients: `(grad_x, grad_w, grad_b)`.
+fn conv2d_grads(
+    x: &Tensor,
+    w: &Tensor,
+    stride: usize,
+    pad: usize,
+    gy: &Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    (
+        conv2d_backward_input(x.shape(), w, stride, pad, gy),
+        conv2d_backward_weight(x, w.shape(), stride, pad, gy),
+        bias_chan_backward(gy),
+    )
 }
 
 /// Numerical gradient check for the im2col conv2d at a non-square,
@@ -20,7 +38,7 @@ fn im2col_conv2d_gradcheck_awkward_shape() {
     let x = Tensor::from_vec(fixture(bsz * cin * h * w, 0.13), &[bsz, cin, h, w]);
     let wt = Tensor::from_vec(fixture(cout * cin * k * k, 0.29), &[cout, cin, k, k]);
     let gy = Tensor::ones(&[bsz, cout, h, w]);
-    let (gx, gw, gb) = conv2d_backward(&x, &wt, stride, pad, &gy);
+    let (gx, gw, gb) = conv2d_grads(&x, &wt, stride, pad, &gy);
     let f = |x: &Tensor, w: &Tensor| conv2d_forward(x, w, None, stride, pad).sum();
     let eps = 1e-2f32;
     for i in 0..x.len() {
@@ -52,7 +70,8 @@ fn im2col_conv2d_gradcheck_awkward_shape() {
 }
 
 /// The arena is a pure allocation cache: pooled and heap execution must be
-/// bitwise identical for the whole forward + backward pass.
+/// bitwise identical for the whole forward + backward pass of both the
+/// convolution and the transposed convolution.
 #[test]
 fn conv2d_arena_vs_heap_is_bitwise_identical() {
     let (bsz, cin, h, w, cout, k, stride, pad) = (2usize, 5usize, 13, 17, 6, 3, 1, 1);
@@ -60,28 +79,46 @@ fn conv2d_arena_vs_heap_is_bitwise_identical() {
     let wt = Tensor::from_vec(fixture(cout * cin * k * k, 0.23), &[cout, cin, k, k]);
     let bias = Tensor::from_vec((0..cout).map(|v| v as f32 * 0.1 - 0.2).collect(), &[cout]);
     let gy = Tensor::from_vec(fixture(bsz * cout * h * w, 0.07), &[bsz, cout, h, w]);
+    // Transposed convolution, the UNet's 2×2 stride-2 up-sampling shape:
+    // [bsz, cin, h, w] → [bsz, cout, 2h, 2w].
+    let wt_t = Tensor::from_vec(fixture(cin * cout * 4, 0.37), &[cin, cout, 2, 2]);
+    let gy_t = Tensor::from_vec(
+        fixture(bsz * cout * 4 * h * w, 0.13),
+        &[bsz, cout, 2 * h, 2 * w],
+    );
 
     let run = || {
         dco_tensor::arena::reset_scratch();
         let y = conv2d_forward(&x, &wt, Some(&bias), stride, pad);
-        let (gx, gw, gb) = conv2d_backward(&x, &wt, stride, pad, &gy);
-        (y, gx, gw, gb)
+        let (gx, gw, gb) = conv2d_grads(&x, &wt, stride, pad, &gy);
+        let yt = conv_transpose2d_forward(&x, &wt_t, Some(&bias), 2, 0);
+        let gxt = conv_transpose2d_backward_input(&wt_t, 2, 0, &gy_t);
+        let gwt = conv_transpose2d_backward_weight(&x, wt_t.shape(), 2, 0, &gy_t);
+        [y, gx, gw, gb, yt, gxt, gwt]
     };
 
     dco_tensor::arena::set_pooling(false);
-    let (y_heap, gx_heap, gw_heap, gb_heap) = run();
+    let heap = run();
     dco_tensor::arena::set_pooling(true);
     // Two pooled runs: the second is guaranteed to hit recycled buffers.
     let _ = run();
-    let (y_pool, gx_pool, gw_pool, gb_pool) = run();
+    let pooled = run();
     let stats = dco_tensor::arena::scratch_stats();
     dco_tensor::arena::reset_scratch();
 
     assert!(stats.hits > 0, "second pooled run should reuse scratch");
-    assert_eq!(y_heap.data(), y_pool.data(), "forward outputs differ");
-    assert_eq!(gx_heap.data(), gx_pool.data(), "input grads differ");
-    assert_eq!(gw_heap.data(), gw_pool.data(), "weight grads differ");
-    assert_eq!(gb_heap.data(), gb_pool.data(), "bias grads differ");
+    let names = [
+        "forward outputs",
+        "input grads",
+        "weight grads",
+        "bias grads",
+        "convT forward outputs",
+        "convT input grads",
+        "convT weight grads",
+    ];
+    for ((name, a), b) in names.iter().zip(&heap).zip(&pooled) {
+        assert_eq!(a.data(), b.data(), "{name} differ");
+    }
 }
 
 /// The byte cap evicts rather than pools: a single buffer over
@@ -138,13 +175,13 @@ fn pooling_toggle_mid_run_is_bitwise_stable() {
     dco_tensor::arena::set_pooling(false);
     dco_tensor::arena::reset_scratch();
     let y_ref = conv2d_forward(&x, &wt, None, stride, pad);
-    let (gx_ref, gw_ref, gb_ref) = conv2d_backward(&x, &wt, stride, pad, &gy);
+    let (gx_ref, gw_ref, gb_ref) = conv2d_grads(&x, &wt, stride, pad, &gy);
 
     // Mid-run toggles: forward pooled, backward heap, forward pooled again.
     dco_tensor::arena::set_pooling(true);
     let y_a = conv2d_forward(&x, &wt, None, stride, pad);
     dco_tensor::arena::set_pooling(false);
-    let (gx_a, gw_a, gb_a) = conv2d_backward(&x, &wt, stride, pad, &gy);
+    let (gx_a, gw_a, gb_a) = conv2d_grads(&x, &wt, stride, pad, &gy);
     dco_tensor::arena::set_pooling(true);
     let y_b = conv2d_forward(&x, &wt, None, stride, pad);
 
