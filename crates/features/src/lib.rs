@@ -43,7 +43,7 @@ pub use grid::GridMap;
 pub use maps::{
     DieFeatures, FeatureExtractor, SoftAssignment, CHANNEL_NAMES, NUM_CHANNELS, RUDY_3D_SCALE,
 };
-pub use patch::PatchStats;
 pub use metrics::{nrmse, pearson, ssim};
+pub use patch::PatchStats;
 pub use resize::resize_nearest;
 pub use svg::{render_layout_svg, SvgOptions};

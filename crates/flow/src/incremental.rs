@@ -158,9 +158,11 @@ impl<'a> IncrementalEval<'a> {
             self.map_size,
             self.map_size,
         );
-        let congestion = predict_maps(&self.predictor.unet, &self.predictor.normalization, [
-            &r0, &r1,
-        ]);
+        let congestion = predict_maps(
+            &self.predictor.unet,
+            &self.predictor.normalization,
+            [&r0, &r1],
+        );
         self.state = Some(EvalState {
             placement: placement.clone(),
             features,
@@ -186,7 +188,10 @@ impl<'a> IncrementalEval<'a> {
         let grid = self.design.floorplan.grid;
         let netlist = &self.design.netlist;
         let delta = DeltaSet::diff(netlist, grid, &state.placement, placement);
-        dco_obs::counter_add("flow.incremental.moved_cells", delta.stats().moved_cells as u64);
+        dco_obs::counter_add(
+            "flow.incremental.moved_cells",
+            delta.stats().moved_cells as u64,
+        );
         dco_obs::counter_add(
             "flow.incremental.tiles_dirtied",
             delta.stats().tiles_dirtied as u64,
@@ -202,7 +207,10 @@ impl<'a> IncrementalEval<'a> {
         let unet_stats = patch_predict_maps(
             &self.predictor.unet,
             &self.predictor.normalization,
-            [&clone_stack(&state.features[0]), &clone_stack(&state.features[1])],
+            [
+                &clone_stack(&state.features[0]),
+                &clone_stack(&state.features[1]),
+            ],
             &delta,
             &mut state.congestion,
         );

@@ -26,7 +26,7 @@
 //! serves; the full [`Router`] remains the label generator.
 
 use crate::report::OverflowReport;
-use crate::router::{RouteResult, Router, RouterConfig, RouteState, Step};
+use crate::router::{RouteResult, RouteState, Router, RouterConfig, Step};
 use crate::topology::decompose_net;
 use dco_features::GridMap;
 use dco_incremental::DeltaSet;
@@ -113,8 +113,14 @@ impl<'a> IncrementalRouter<'a> {
             }
         }
         self.reroute(delta.router_nets(), placement);
-        dco_obs::counter_add("route.incremental.nets_ripped", self.last_stats.nets_ripped as u64);
-        dco_obs::counter_add("route.incremental.segments", self.last_stats.segments_routed as u64);
+        dco_obs::counter_add(
+            "route.incremental.nets_ripped",
+            self.last_stats.nets_ripped as u64,
+        );
+        dco_obs::counter_add(
+            "route.incremental.segments",
+            self.last_stats.segments_routed as u64,
+        );
         self.result()
     }
 
@@ -174,8 +180,7 @@ impl<'a> IncrementalRouter<'a> {
     fn result(&self) -> RouteResult {
         let g = self.design.floorplan.grid;
         let netlist = &self.design.netlist;
-        let (h_cap, v_cap, bond_cap) =
-            (self.router.h_cap, self.router.v_cap, self.router.bond_cap);
+        let (h_cap, v_cap, bond_cap) = (self.router.h_cap, self.router.v_cap, self.router.bond_cap);
         let mut net_lengths = vec![0.0f64; netlist.num_nets()];
         let mut net_bonds = vec![0u32; netlist.num_nets()];
         let mut wirelength = 0.0f64;

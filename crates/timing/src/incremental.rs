@@ -593,11 +593,23 @@ mod tests {
             && a.hold_violations == b.hold_violations
             && f(a.hold_wns_ps) == f(b.hold_wns_ps)
             && f(a.hold_tns_ps) == f(b.hold_tns_ps)
-            && a.cell_slack.iter().zip(&b.cell_slack).all(|(x, y)| f(*x) == f(*y))
-            && a.pin_arrival.iter().zip(&b.pin_arrival).all(|(x, y)| f(*x) == f(*y))
+            && a.cell_slack
+                .iter()
+                .zip(&b.cell_slack)
+                .all(|(x, y)| f(*x) == f(*y))
+            && a.pin_arrival
+                .iter()
+                .zip(&b.pin_arrival)
+                .all(|(x, y)| f(*x) == f(*y))
             && a.worst_pred == b.worst_pred
-            && a.cell_output_slew.iter().zip(&b.cell_output_slew).all(|(x, y)| f(*x) == f(*y))
-            && a.cell_input_slew.iter().zip(&b.cell_input_slew).all(|(x, y)| f(*x) == f(*y))
+            && a.cell_output_slew
+                .iter()
+                .zip(&b.cell_output_slew)
+                .all(|(x, y)| f(*x) == f(*y))
+            && a.cell_input_slew
+                .iter()
+                .zip(&b.cell_input_slew)
+                .all(|(x, y)| f(*x) == f(*y))
     }
 
     #[test]
@@ -612,7 +624,12 @@ mod tests {
             Some(&routed.net_lengths),
             Some(&routed.net_bonds),
         );
-        assert!(reports_bitwise_equal(&a, &b), "{} vs {}", a.wns_ps, b.wns_ps);
+        assert!(
+            reports_bitwise_equal(&a, &b),
+            "{} vs {}",
+            a.wns_ps,
+            b.wns_ps
+        );
         assert_eq!(a.broken_cycle_edges, b.broken_cycle_edges);
     }
 
@@ -631,7 +648,10 @@ mod tests {
         let delta = DeltaSet::diff(&d.netlist, g, &d.placement, &moved);
         let routed = rt.apply(&moved, &delta);
         let incr = eng.apply(&moved, &routed.net_lengths, &routed.net_bonds, &delta);
-        assert!(eng.stats().cone_pins < d.netlist.num_pins(), "cone should be partial");
+        assert!(
+            eng.stats().cone_pins < d.netlist.num_pins(),
+            "cone should be partial"
+        );
 
         let mut fresh = IncrementalSta::new(&d);
         let scratch = fresh.full(&moved, &routed.net_lengths, &routed.net_bonds);

@@ -100,8 +100,16 @@ pub fn patch_predict_maps(
     cached: &mut [GridMap; 2],
 ) -> UnetPatchStats {
     let _span = dco_obs::span!("unet.patch");
-    assert_eq!(features[0].len(), NUM_CHANNELS, "expected {NUM_CHANNELS} channels");
-    assert_eq!(features[1].len(), NUM_CHANNELS, "expected {NUM_CHANNELS} channels");
+    assert_eq!(
+        features[0].len(),
+        NUM_CHANNELS,
+        "expected {NUM_CHANNELS} channels"
+    );
+    assert_eq!(
+        features[1].len(),
+        NUM_CHANNELS,
+        "expected {NUM_CHANNELS} channels"
+    );
     let (mnx, mny) = (cached[0].nx(), cached[0].ny());
     assert!(
         mnx.is_multiple_of(4) && mny.is_multiple_of(4),
@@ -258,8 +266,13 @@ mod tests {
         let n = norm();
         let mut cached = fresh_predict(&m, &n, features);
         let before = cached.clone();
-        let stats =
-            patch_predict_maps(&m, &n, features, &DeltaSet::empty(d.floorplan.grid), &mut cached);
+        let stats = patch_predict_maps(
+            &m,
+            &n,
+            features,
+            &DeltaSet::empty(d.floorplan.grid),
+            &mut cached,
+        );
         assert_eq!(stats, UnetPatchStats::default());
         assert!(maps_bits_equal(&cached[0], &before[0]));
         assert!(maps_bits_equal(&cached[1], &before[1]));

@@ -170,11 +170,9 @@ fn timing_bits_equal(a: &TimingReport, b: &TimingReport) -> bool {
         && a.violations == b.violations
         && a.hold_violations == b.hold_violations
         && a.worst_pred == b.worst_pred
-        && vecs(a)
-            .iter()
-            .zip(vecs(b).iter())
-            .all(|(x, y)| x.len() == y.len()
-                && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits()))
+        && vecs(a).iter().zip(vecs(b).iter()).all(|(x, y)| {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+        })
 }
 
 // --- engine-level differential sweep ---------------------------------------
@@ -207,12 +205,16 @@ fn router_and_sta_match_from_scratch_across_seeded_deltas() {
                     assert!(delta.is_empty(), "no move must produce no delta");
                 }
                 let route_inc = router.apply(&moved, &delta);
-                let sta_inc = sta.apply(&moved, &route_inc.net_lengths, &route_inc.net_bonds, &delta);
+                let sta_inc =
+                    sta.apply(&moved, &route_inc.net_lengths, &route_inc.net_bonds, &delta);
 
                 let mut fresh_router = IncrementalRouter::new(&d, RouterConfig::default());
                 let route_full = fresh_router.full(&moved);
-                let sta_full =
-                    IncrementalSta::new(&d).full(&moved, &route_full.net_lengths, &route_full.net_bonds);
+                let sta_full = IncrementalSta::new(&d).full(
+                    &moved,
+                    &route_full.net_lengths,
+                    &route_full.net_bonds,
+                );
 
                 assert_eq!(
                     route_checksum(&route_inc),
@@ -299,9 +301,20 @@ fn end_to_end_incremental_eval_matches_fresh_session_across_seeded_deltas() {
                 "overflow diverged: threads={threads} seed={seed} k={k}"
             );
             for die in 0..2 {
-                let a: Vec<u32> = inc.congestion[die].data().iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u32> = full.congestion[die].data().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a, b, "die {die} congestion diverged: threads={threads} seed={seed} k={k}");
+                let a: Vec<u32> = inc.congestion[die]
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let b: Vec<u32> = full.congestion[die]
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert_eq!(
+                    a, b,
+                    "die {die} congestion diverged: threads={threads} seed={seed} k={k}"
+                );
             }
 
             artifact(&format!(

@@ -373,7 +373,11 @@ fn cancelled_router_and_trainer_stop_clean_at_threads_1_and_8() {
         );
         let result = router.route(&d.placement);
         let n = d.netlist.num_nets();
-        assert_eq!(result.net_lengths.len(), n, "net_lengths torn at {threads}t");
+        assert_eq!(
+            result.net_lengths.len(),
+            n,
+            "net_lengths torn at {threads}t"
+        );
         assert_eq!(result.net_bonds.len(), n, "net_bonds torn at {threads}t");
         assert!(
             result.net_lengths.iter().all(|l| l.is_finite()),

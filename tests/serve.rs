@@ -451,7 +451,11 @@ fn served_delta_jobs_match_one_shot_predict_bitwise() {
     // to one-shot prediction of the moved placement.
     let state = warm_state();
     let mut moved = state.baseline_placement(7);
-    moved.set_xy(CellId(3), moved.x(CellId(3)) + 2.0, moved.y(CellId(3)) + 0.5);
+    moved.set_xy(
+        CellId(3),
+        moved.x(CellId(3)) + 2.0,
+        moved.y(CellId(3)) + 0.5,
+    );
     moved.set_tier(CellId(5), moved.tier(CellId(5)).flipped());
     let expected = predict_result(&state.predict(&moved));
     let req = format!(
@@ -487,7 +491,8 @@ fn served_delta_jobs_match_one_shot_predict_bitwise() {
     assert_eq!(checksum(&d4), checksum(&predict));
 
     // A bad placement is rejected typed; the warm session survives it.
-    let bad = c.round_trip(r#"{"id":6,"job":"delta","placement":{"x":[1.0],"y":[2.0],"tier":["Top"]}}"#);
+    let bad =
+        c.round_trip(r#"{"id":6,"job":"delta","placement":{"x":[1.0],"y":[2.0],"tier":["Top"]}}"#);
     assert_eq!(error_kind(&bad), "bad-request");
     let d5 = c.round_trip(r#"{"id":7,"job":"delta","seed":7}"#);
     assert_ok(&d5, 7, "delta");
