@@ -1,8 +1,9 @@
 //! Extraction of the seven per-die input feature maps (paper Sec. III-B1)
 //! from a hard or soft (probabilistic-z) 3D placement.
 
-use crate::rudy::{accumulate_pin_rudy, accumulate_rudy, Bbox};
+use crate::rudy::{Bbox, RudyFootprint};
 use crate::GridMap;
+use dco_incremental::DeltaSet;
 use dco_netlist::{CellClass, GcellGrid, Netlist, Placement3};
 
 /// Number of feature channels per die.
@@ -191,13 +192,33 @@ impl FeatureExtractor {
                 .add(col, row, (1.0 - zt) * inv_area as f32);
         }
 
-        // --- RUDY / PinRUDY --------------------------------------------------
+        self.accumulate_nets(netlist, soft, [&mut bottom, &mut top], None);
+        [bottom, top]
+    }
+
+    /// Accumulate every non-clock net's RUDY and PinRUDY into both dies,
+    /// in net-id order, with one [`RudyFootprint`] walk per net for all
+    /// four RUDY channels. With `delta`, nets whose support misses the
+    /// dirty mask are skipped and only dirty pixels are written (see the
+    /// patch module's equivalence contract). Returns the nets accumulated.
+    pub(crate) fn accumulate_nets(
+        &self,
+        netlist: &Netlist,
+        soft: &SoftAssignment,
+        [bottom, top]: [&mut DieFeatures; 2],
+        delta: Option<&DeltaSet>,
+    ) -> usize {
+        let g = self.grid;
+        let mask = delta.map(DeltaSet::mask);
+        let mut fp = RudyFootprint::new(g);
+        let mut pts = Vec::new();
+        let mut nets = 0;
         for net_id in netlist.net_ids() {
             let net = netlist.net(net_id);
             if net.is_clock {
                 continue;
             }
-            let mut pts = Vec::with_capacity(net.degree());
+            pts.clear();
             let mut p_top = 1.0f64;
             let mut p_bot = 1.0f64;
             for &pid in &net.pins {
@@ -211,27 +232,54 @@ impl FeatureExtractor {
             let Some(bbox) = Bbox::of_points(pts.iter().copied()) else {
                 continue;
             };
+            fp.fill(&bbox);
+            if let Some(delta) = delta {
+                // The support holds every tile the net writes, pin tiles
+                // included, so one test covers all six demand channels.
+                let (c0, c1, r0, r1) = fp.support();
+                if !delta.intersects_range(c0, c1, r0, r1) {
+                    continue;
+                }
+            }
+            nets += 1;
             let w = net.weight as f32;
             let w_top2d = (p_top as f32) * w;
             let w_bot2d = (p_bot as f32) * w;
             let w_3d = ((1.0 - p_top - p_bot).max(0.0) as f32) * w;
-            accumulate_rudy(&mut top.rudy_2d, &g, &bbox, w_top2d);
-            accumulate_rudy(&mut bottom.rudy_2d, &g, &bbox, w_bot2d);
             // 3D nets demand routing on both dies, at reduced density.
-            accumulate_rudy(&mut top.rudy_3d, &g, &bbox, w_3d * RUDY_3D_SCALE);
-            accumulate_rudy(&mut bottom.rudy_3d, &g, &bbox, w_3d * RUDY_3D_SCALE);
-            for (&pid, &pt) in net.pins.iter().zip(&pts) {
-                let pin = netlist.pin(pid);
-                let z = soft.z[pin.cell.index()].clamp(0.0, 1.0) as f32;
+            fp.splat(
+                [
+                    &mut top.rudy_2d,
+                    &mut bottom.rudy_2d,
+                    &mut top.rudy_3d,
+                    &mut bottom.rudy_3d,
+                ],
+                [w_top2d, w_bot2d, w_3d * RUDY_3D_SCALE, w_3d * RUDY_3D_SCALE],
+                mask,
+            );
+            // PinRUDY (Eq. 3): each pin's tile gets `weight · factor`.
+            let factor = fp.factor() as f32;
+            for (&pid, &(px, py)) in net.pins.iter().zip(&pts) {
+                let (col, row) = (g.col(px), g.row(py));
+                if mask.is_some_and(|m| !m[row * g.nx + col]) {
+                    continue;
+                }
+                let z = soft.z[netlist.pin(pid).cell.index()].clamp(0.0, 1.0) as f32;
                 // 2D part: pin is on die d AND the whole net is on die d.
-                accumulate_pin_rudy(&mut top.pin_rudy_2d, &g, pt, &bbox, w_top2d);
-                accumulate_pin_rudy(&mut bottom.pin_rudy_2d, &g, pt, &bbox, w_bot2d);
                 // 3D part: weighted by the pin's own tier probability.
-                accumulate_pin_rudy(&mut top.pin_rudy_3d, &g, pt, &bbox, w_3d * z);
-                accumulate_pin_rudy(&mut bottom.pin_rudy_3d, &g, pt, &bbox, w_3d * (1.0 - z));
+                for (map, weight) in [
+                    (&mut top.pin_rudy_2d, w_top2d),
+                    (&mut bottom.pin_rudy_2d, w_bot2d),
+                    (&mut top.pin_rudy_3d, w_3d * z),
+                    (&mut bottom.pin_rudy_3d, w_3d * (1.0 - z)),
+                ] {
+                    if weight != 0.0 {
+                        map.add(col, row, weight * factor);
+                    }
+                }
             }
         }
-        [bottom, top]
+        nets
     }
 }
 

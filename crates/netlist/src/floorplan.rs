@@ -100,6 +100,35 @@ impl GcellGrid {
     pub fn cell_area(&self) -> f64 {
         self.dx * self.dy
     }
+
+    /// RUDY's minimum net-bbox dimension: half the smaller GCell side.
+    /// Narrower boxes use it in the `1/w + 1/h` factor.
+    #[inline]
+    pub fn rudy_min_size(&self) -> f64 {
+        self.dx.min(self.dy) * 0.5
+    }
+
+    /// The box `(xl, yl, xh, yh)` a net's RUDY demand covers: a zero-width
+    /// (zero-height) pin bbox is widened by half of
+    /// [`GcellGrid::rudy_min_size`] on each side so it still covers a
+    /// sliver of tiles. This is the one definition of that expansion; the
+    /// feature extractor, the rasterizer backward and the incremental dirty
+    /// mask all read it from here.
+    #[inline]
+    pub fn rudy_support(&self, xl: f64, yl: f64, xh: f64, yh: f64) -> (f64, f64, f64, f64) {
+        let min_size = self.rudy_min_size();
+        let (xl, xh) = if xh > xl {
+            (xl, xh)
+        } else {
+            (xl - min_size / 2.0, xl + min_size / 2.0)
+        };
+        let (yl, yh) = if yh > yl {
+            (yl, yh)
+        } else {
+            (yl - min_size / 2.0, yl + min_size / 2.0)
+        };
+        (xl, yl, xh, yh)
+    }
 }
 
 /// Two-die F2F floorplan: one shared outline, one GCell grid per die.
@@ -157,6 +186,23 @@ mod tests {
         assert_eq!(g.ny, 5);
         assert!((g.nx as f64 * g.dx - die.width).abs() < 1e-9);
         assert!((g.ny as f64 * g.dy - die.height).abs() < 1e-9);
+    }
+
+    #[test]
+    fn rudy_support_widens_only_degenerate_axes() {
+        let g = GcellGrid::cover(
+            Die {
+                width: 8.0,
+                height: 8.0,
+            },
+            1.0,
+        );
+        assert_eq!(g.rudy_min_size(), 0.5);
+        assert_eq!(g.rudy_support(1.0, 2.0, 3.0, 4.0), (1.0, 2.0, 3.0, 4.0));
+        assert_eq!(g.rudy_support(1.5, 2.0, 1.5, 4.0), (1.25, 2.0, 1.75, 4.0));
+        assert_eq!(g.rudy_support(1.0, 2.5, 3.0, 2.5), (1.0, 2.25, 3.0, 2.75));
+        // Narrow but not degenerate: left as is.
+        assert_eq!(g.rudy_support(1.0, 2.0, 1.1, 4.0), (1.0, 2.0, 1.1, 4.0));
     }
 
     #[test]

@@ -63,3 +63,14 @@ pub fn reset() {
     span::reset();
     metrics::global().reset();
 }
+
+/// The crate's one test lock. The trace state (`set_enabled`, `reset`, the
+/// span log and the global registry) is process-wide and unit tests of
+/// different modules run in parallel, so every test that touches it holds
+/// this guard for its whole body.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -394,8 +394,9 @@ mod tests {
 
     #[test]
     fn gated_helpers_are_inert_when_disabled() {
-        // Don't toggle the global flag here (other tests run in parallel);
-        // rely on the default-off state of a metric name nothing else uses.
+        // The lock keeps the trace tests from enabling tracing between the
+        // check and the add; the metric name is used nowhere else.
+        let _lock = crate::test_lock();
         if !span::enabled() {
             counter_add("tests.inert", 1);
             let present = global().snapshot().iter().any(|(k, _)| k == "tests.inert");

@@ -671,13 +671,10 @@ pub fn render_table(a: &ObsArtifact) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, PoisonError};
-
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     #[test]
     fn artifact_round_trips_and_validates() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = crate::test_lock();
         crate::reset();
         span::set_enabled(true);
         {
@@ -717,7 +714,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_broken_artifacts() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = crate::test_lock();
         crate::reset();
         span::set_enabled(true);
         {
@@ -763,7 +760,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_sections() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = crate::test_lock();
         crate::reset();
         span::set_enabled(true);
         {
@@ -783,7 +780,7 @@ mod tests {
 
     #[test]
     fn job_rollup_attributes_subtrees_to_job_roots() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = crate::test_lock();
         crate::reset();
         span::set_enabled(true);
         {

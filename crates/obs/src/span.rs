@@ -263,13 +263,9 @@ pub fn reset() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// Tracing state is process-global; serialize tests that toggle it.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     fn with_tracing(f: impl FnOnce()) {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = crate::test_lock();
         reset();
         set_enabled(true);
         f();
@@ -279,7 +275,7 @@ mod tests {
 
     #[test]
     fn disabled_guard_records_nothing() {
-        let _lock = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = crate::test_lock();
         reset();
         set_enabled(false);
         {
