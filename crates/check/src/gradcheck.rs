@@ -3,9 +3,12 @@
 //! [`gradcheck`] compares every analytic gradient produced by
 //! [`Graph::backward`] against central differences computed by re-executing
 //! the recorded tape with perturbed leaf values ([`Graph::replay_value`]).
-//! Because replay re-runs [`CustomOp`](dco_tensor::CustomOp) forwards, this
-//! verifies hand-written backward passes (like the paper's Eq.-6 rasterizer
-//! gradient) exactly the same way as built-in ops.
+//! Replay runs each op's one forward definition, the same code the graph
+//! builders ran while recording, and it re-runs
+//! [`CustomOp`](dco_tensor::CustomOp) forwards too. So this verifies
+//! hand-written backward passes (like the paper's Eq.-6 rasterizer
+//! gradient) exactly the same way as built-in ops, against the forward code
+//! the optimizers run.
 
 use dco_tensor::{Graph, Var};
 use std::fmt;

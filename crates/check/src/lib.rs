@@ -44,4 +44,4 @@ pub use lint::{audit_path, lint_path, lint_source, Audit, UnsafeSite, Violation}
 
 // Layer-1 diagnostic types live next to the tape; re-export them so tools
 // depending on dco-check see one coherent API.
-pub use dco_tensor::{Diagnostic, DiagnosticKind, NodeInfo, Severity, TapeOp};
+pub use dco_tensor::{Diagnostic, DiagnosticKind, Severity};

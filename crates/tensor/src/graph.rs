@@ -6,6 +6,11 @@
 //! Calling [`Graph::backward`] on a scalar propagates gradients to every
 //! parameter, readable via [`Graph::grad`].
 //!
+//! Every builder checks its op's shape rule before computing anything and
+//! panics with that rule's message (op name and operand shapes) when the
+//! operands are incompatible; [`Graph::validate`] reports the same rule as
+//! diagnostics instead.
+//!
 //! # Example
 //!
 //! ```
@@ -19,10 +24,10 @@
 //! ```
 
 use crate::conv::{
-    bias_chan_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
-    conv_transpose2d_backward_input, conv_transpose2d_backward_weight, conv_transpose2d_forward,
-    maxpool2d_backward, maxpool2d_forward,
+    bias_chan_backward, conv2d_backward_input, conv2d_backward_weight,
+    conv_transpose2d_backward_input, conv_transpose2d_backward_weight, maxpool2d_backward,
 };
+use crate::op::Op;
 use crate::{Csr, Tensor};
 use std::rc::Rc;
 
@@ -56,70 +61,6 @@ pub trait CustomOp {
         output: &Tensor,
         grad_output: &Tensor,
     ) -> Vec<Option<Tensor>>;
-}
-
-#[derive(Clone)]
-pub(crate) enum Op {
-    Leaf,
-    Add(Var, Var),
-    Sub(Var, Var),
-    Mul(Var, Var),
-    Div(Var, Var),
-    Neg(Var),
-    AddScalar(Var, f32),
-    MulScalar(Var, f32),
-    Relu(Var),
-    LeakyRelu(Var, f32),
-    Sigmoid(Var),
-    Tanh(Var),
-    Softplus(Var),
-    Sqrt(Var),
-    Square(Var),
-    Clamp(Var, f32, f32),
-    Matmul(Var, Var),
-    AddBiasRow(Var, Var),
-    AddBiasChan(Var, Var),
-    SumAll(Var),
-    MeanAll(Var),
-    Reshape(Var),
-    Conv2d {
-        x: Var,
-        w: Var,
-        b: Option<Var>,
-        stride: usize,
-        pad: usize,
-    },
-    ConvT2d {
-        x: Var,
-        w: Var,
-        b: Option<Var>,
-        stride: usize,
-        pad: usize,
-    },
-    MaxPool2d {
-        x: Var,
-        k: usize,
-        indices: Rc<Vec<u32>>,
-    },
-    ConcatChan(Rc<Vec<Var>>),
-    SliceChan {
-        x: Var,
-        start: usize,
-        len: usize,
-    },
-    SliceCols {
-        x: Var,
-        start: usize,
-        len: usize,
-    },
-    Spmm {
-        a: Rc<Csr>,
-        x: Var,
-    },
-    Custom {
-        op: Rc<dyn CustomOp>,
-        inputs: Rc<Vec<Var>>,
-    },
 }
 
 pub(crate) struct Node {
@@ -161,8 +102,12 @@ impl Graph {
         Var(self.nodes.len() - 1)
     }
 
-    fn req(&self, v: Var) -> bool {
-        self.nodes[v.0].requires_grad
+    /// Check `op`'s shape rule, run its forward on the operands' recorded
+    /// values, and append it.
+    fn record(&mut self, mut op: Op) -> Var {
+        let value = op.forward(|v| &self.nodes[v.0].value);
+        let requires_grad = op.operands().iter().any(|v| self.nodes[v.0].requires_grad);
+        self.push(value, op, requires_grad)
     }
 
     /// Add a constant leaf (no gradient tracked).
@@ -177,9 +122,10 @@ impl Graph {
 
     /// Replace the value of a leaf in place, without rebuilding the tape.
     ///
-    /// Downstream node values recorded at build time become stale until the
-    /// tape is re-executed with [`Graph::replay_value`]; inconsistencies
-    /// introduced here (e.g. a shape change) are caught by
+    /// Downstream nodes keep the values recorded at build time: the tape is
+    /// never re-executed. [`Graph::replay_value`] recomputes one node from
+    /// the current leaves and returns it without touching the tape, and
+    /// inconsistencies introduced here (e.g. a shape change) are caught by
     /// [`Graph::validate`].
     ///
     /// # Panics
@@ -208,219 +154,130 @@ impl Graph {
 
     /// Elementwise `a + b` (same shapes).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x + y);
-        let r = self.req(a) || self.req(b);
-        self.push(v, Op::Add(a, b), r)
+        self.record(Op::Add(a, b))
     }
 
     /// Elementwise `a - b` (same shapes).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x - y);
-        let r = self.req(a) || self.req(b);
-        self.push(v, Op::Sub(a, b), r)
+        self.record(Op::Sub(a, b))
     }
 
     /// Elementwise `a * b` (same shapes).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x * y);
-        let r = self.req(a) || self.req(b);
-        self.push(v, Op::Mul(a, b), r)
+        self.record(Op::Mul(a, b))
     }
 
     /// Elementwise `a / b` (same shapes; caller must avoid zeros in `b`).
     pub fn div(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).zip(self.value(b), |x, y| x / y);
-        let r = self.req(a) || self.req(b);
-        self.push(v, Op::Div(a, b), r)
+        self.record(Op::Div(a, b))
     }
 
     /// Elementwise negation.
     pub fn neg(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| -x);
-        let r = self.req(a);
-        self.push(v, Op::Neg(a), r)
+        self.record(Op::Neg(a))
     }
 
     /// `a + s` for scalar `s`.
     pub fn add_scalar(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).map(|x| x + s);
-        let r = self.req(a);
-        self.push(v, Op::AddScalar(a, s), r)
+        self.record(Op::AddScalar(a, s))
     }
 
     /// `a * s` for scalar `s`.
     pub fn mul_scalar(&mut self, a: Var, s: f32) -> Var {
-        let v = self.value(a).map(|x| x * s);
-        let r = self.req(a);
-        self.push(v, Op::MulScalar(a, s), r)
+        self.record(Op::MulScalar(a, s))
     }
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0));
-        let r = self.req(a);
-        self.push(v, Op::Relu(a), r)
+        self.record(Op::Relu(a))
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        let v = self.value(a).map(|x| if x >= 0.0 { x } else { alpha * x });
-        let r = self.req(a);
-        self.push(v, Op::LeakyRelu(a, alpha), r)
+        self.record(Op::LeakyRelu(a, alpha))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        let r = self.req(a);
-        self.push(v, Op::Sigmoid(a), r)
+        self.record(Op::Sigmoid(a))
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(f32::tanh);
-        let r = self.req(a);
-        self.push(v, Op::Tanh(a), r)
+        self.record(Op::Tanh(a))
     }
 
     /// Softplus `ln(1 + e^x)`, a smooth ReLU.
     pub fn softplus(&mut self, a: Var) -> Var {
-        let v = self
-            .value(a)
-            .map(|x| if x > 20.0 { x } else { (1.0 + x.exp()).ln() });
-        let r = self.req(a);
-        self.push(v, Op::Softplus(a), r)
+        self.record(Op::Softplus(a))
     }
 
     /// Elementwise square root (inputs must be non-negative).
     pub fn sqrt(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x.max(0.0).sqrt());
-        let r = self.req(a);
-        self.push(v, Op::Sqrt(a), r)
+        self.record(Op::Sqrt(a))
     }
 
     /// Elementwise square.
     pub fn square(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| x * x);
-        let r = self.req(a);
-        self.push(v, Op::Square(a), r)
+        self.record(Op::Square(a))
     }
 
     /// Clamp to `[lo, hi]` with straight-through subgradient inside the
     /// interval and zero outside.
     pub fn clamp(&mut self, a: Var, lo: f32, hi: f32) -> Var {
-        let v = self.value(a).map(|x| x.clamp(lo, hi));
-        let r = self.req(a);
-        self.push(v, Op::Clamp(a, lo, hi), r)
+        self.record(Op::Clamp(a, lo, hi))
     }
 
     // ---- linear algebra ----------------------------------------------------
 
     /// Dense matrix multiply `[m,k] x [k,n]`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let v = self.value(a).matmul(self.value(b));
-        let r = self.req(a) || self.req(b);
-        self.push(v, Op::Matmul(a, b), r)
+        self.record(Op::Matmul(a, b))
     }
 
     /// Broadcast-add a row bias: `x [r, n] + b [n]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
     pub fn add_bias_row(&mut self, x: Var, b: Var) -> Var {
-        let xv = self.value(x);
-        let bv = self.value(b);
-        assert_eq!(xv.shape().len(), 2, "add_bias_row needs rank-2 input");
-        let n = xv.shape()[1];
-        assert_eq!(bv.shape(), &[n], "bias must be [n]");
-        let mut out = xv.clone();
-        for row in 0..xv.shape()[0] {
-            for j in 0..n {
-                out.data_mut()[row * n + j] += bv.data()[j];
-            }
-        }
-        let r = self.req(x) || self.req(b);
-        self.push(out, Op::AddBiasRow(x, b), r)
+        self.record(Op::AddBiasRow(x, b))
     }
 
     /// Broadcast-add a channel bias: `x [b, c, h, w] + bias [c]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
     pub fn add_bias_chan(&mut self, x: Var, b: Var) -> Var {
-        let xv = self.value(x);
-        let bv = self.value(b);
-        let s = xv.shape();
-        assert_eq!(s.len(), 4, "add_bias_chan needs 4D, got {s:?}");
-        let (bsz, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert_eq!(bv.shape(), &[c], "bias must be [c]");
-        let mut out = xv.clone();
-        for bi in 0..bsz {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                let bias = bv.data()[ci];
-                for v in &mut out.data_mut()[base..base + h * w] {
-                    *v += bias;
-                }
-            }
-        }
-        let r = self.req(x) || self.req(b);
-        self.push(out, Op::AddBiasChan(x, b), r)
+        self.record(Op::AddBiasChan(x, b))
     }
 
     /// Sparse × dense product with a constant CSR matrix.
     pub fn spmm(&mut self, a: Rc<Csr>, x: Var) -> Var {
-        let v = a.matmul_dense(self.value(x));
-        let r = self.req(x);
-        self.push(v, Op::Spmm { a, x }, r)
+        self.record(Op::Spmm { a, x })
     }
 
     // ---- reductions / shape -------------------------------------------------
 
     /// Sum of all elements (scalar output).
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).sum());
-        let r = self.req(a);
-        self.push(v, Op::SumAll(a), r)
+        self.record(Op::SumAll(a))
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let v = Tensor::scalar(self.value(a).mean());
-        let r = self.req(a);
-        self.push(v, Op::MeanAll(a), r)
+        self.record(Op::MeanAll(a))
     }
 
     /// Reshape to a new shape with the same element count.
     pub fn reshape(&mut self, a: Var, shape: &[usize]) -> Var {
-        let v = self.value(a).clone().reshaped(shape);
-        let r = self.req(a);
-        self.push(v, Op::Reshape(a), r)
+        self.record(Op::Reshape(a, shape.to_vec()))
     }
 
     // ---- convolution stack ----------------------------------------------------
 
     /// 2D convolution; `x` is `[B,C,H,W]`, `w` is `[C_out,C_in,KH,KW]`.
     pub fn conv2d(&mut self, x: Var, w: Var, b: Option<Var>, stride: usize, pad: usize) -> Var {
-        let v = conv2d_forward(
-            self.value(x),
-            self.value(w),
-            b.map(|bb| self.value(bb)),
+        self.record(Op::Conv2d {
+            x,
+            w,
+            b,
             stride,
             pad,
-        );
-        let r = self.req(x) || self.req(w) || b.map(|bb| self.req(bb)).unwrap_or(false);
-        self.push(
-            v,
-            Op::Conv2d {
-                x,
-                w,
-                b,
-                stride,
-                pad,
-            },
-            r,
-        )
+        })
     }
 
     /// 2D transposed convolution; `w` is `[C_in,C_out,KH,KW]`.
@@ -432,134 +289,46 @@ impl Graph {
         stride: usize,
         pad: usize,
     ) -> Var {
-        let v = conv_transpose2d_forward(
-            self.value(x),
-            self.value(w),
-            b.map(|bb| self.value(bb)),
+        self.record(Op::ConvT2d {
+            x,
+            w,
+            b,
             stride,
             pad,
-        );
-        let r = self.req(x) || self.req(w) || b.map(|bb| self.req(bb)).unwrap_or(false);
-        self.push(
-            v,
-            Op::ConvT2d {
-                x,
-                w,
-                b,
-                stride,
-                pad,
-            },
-            r,
-        )
+        })
     }
 
     /// k×k max pooling (k must divide H and W).
     pub fn maxpool2d(&mut self, x: Var, k: usize) -> Var {
-        let (v, idx) = maxpool2d_forward(self.value(x), k);
-        let r = self.req(x);
-        self.push(
-            v,
-            Op::MaxPool2d {
-                x,
-                k,
-                indices: Rc::new(idx),
-            },
-            r,
-        )
+        self.record(Op::MaxPool2d {
+            x,
+            k,
+            indices: Rc::default(),
+        })
     }
 
-    /// Concatenate along the channel axis; all inputs `[B,C_i,H,W]`.
-    ///
-    /// # Panics
-    /// Panics if batch/spatial dims disagree or `parts` is empty.
+    /// Concatenate along the channel axis; all inputs `[B,C_i,H,W]` with
+    /// the same batch and spatial dims, at least one of them.
     pub fn concat_chan(&mut self, parts: &[Var]) -> Var {
-        assert!(!parts.is_empty(), "concat_chan needs at least one input");
-        let first = self.value(parts[0]).shape().to_vec();
-        let (bsz, h, w) = (first[0], first[2], first[3]);
-        let mut c_total = 0;
-        for &p in parts {
-            let s = self.value(p).shape();
-            assert_eq!(s.len(), 4, "concat_chan inputs must be 4D");
-            assert_eq!((s[0], s[2], s[3]), (bsz, h, w), "concat_chan dim mismatch");
-            c_total += s[1];
-        }
-        let mut out = Tensor::zeros(&[bsz, c_total, h, w]);
-        let plane = h * w;
-        for bi in 0..bsz {
-            let mut c_off = 0;
-            for &p in parts {
-                let s = self.value(p).shape().to_vec();
-                let c = s[1];
-                let src = self.value(p).data();
-                let dst = out.data_mut();
-                for ci in 0..c {
-                    let sbase = (bi * c + ci) * plane;
-                    let dbase = (bi * c_total + c_off + ci) * plane;
-                    dst[dbase..dbase + plane].copy_from_slice(&src[sbase..sbase + plane]);
-                }
-                c_off += c;
-            }
-        }
-        let r = parts.iter().any(|&p| self.req(p));
-        self.push(out, Op::ConcatChan(Rc::new(parts.to_vec())), r)
+        self.record(Op::ConcatChan(parts.to_vec()))
     }
 
     /// Slice `len` channels starting at `start`: `[B,C,H,W] -> [B,len,H,W]`.
-    ///
-    /// # Panics
-    /// Panics if the channel range is out of bounds.
     pub fn slice_chan(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let s = self.value(x).shape().to_vec();
-        assert_eq!(s.len(), 4, "slice_chan input must be 4D");
-        let (bsz, c, h, w) = (s[0], s[1], s[2], s[3]);
-        assert!(start + len <= c, "channel slice out of range");
-        let plane = h * w;
-        let mut out = Tensor::zeros(&[bsz, len, h, w]);
-        for bi in 0..bsz {
-            for ci in 0..len {
-                let sbase = (bi * c + start + ci) * plane;
-                let dbase = (bi * len + ci) * plane;
-                let src = self.value(x).data()[sbase..sbase + plane].to_vec();
-                out.data_mut()[dbase..dbase + plane].copy_from_slice(&src);
-            }
-        }
-        let r = self.req(x);
-        self.push(out, Op::SliceChan { x, start, len }, r)
+        self.record(Op::SliceChan { x, start, len })
     }
 
     /// Slice `len` columns starting at `start`: `[R,C] -> [R,len]`.
-    ///
-    /// # Panics
-    /// Panics if the column range is out of bounds.
     pub fn slice_cols(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let s = self.value(x).shape().to_vec();
-        assert_eq!(s.len(), 2, "slice_cols input must be 2D");
-        let (rows, cols) = (s[0], s[1]);
-        assert!(start + len <= cols, "column slice out of range");
-        let mut out = Tensor::zeros(&[rows, len]);
-        for r in 0..rows {
-            for j in 0..len {
-                let v = self.value(x).data()[r * cols + start + j];
-                out.data_mut()[r * len + j] = v;
-            }
-        }
-        let r = self.req(x);
-        self.push(out, Op::SliceCols { x, start, len }, r)
+        self.record(Op::SliceCols { x, start, len })
     }
 
     /// Record a user-defined differentiable op.
     pub fn custom(&mut self, op: Rc<dyn CustomOp>, inputs: &[Var]) -> Var {
-        let vals: Vec<&Tensor> = inputs.iter().map(|&v| self.value(v)).collect();
-        let out = op.forward(&vals);
-        let r = inputs.iter().any(|&v| self.req(v));
-        self.push(
-            out,
-            Op::Custom {
-                op,
-                inputs: Rc::new(inputs.to_vec()),
-            },
-            r,
-        )
+        self.record(Op::Custom {
+            op,
+            inputs: inputs.to_vec(),
+        })
     }
 
     // ---- backward ------------------------------------------------------------
@@ -744,7 +513,7 @@ impl Operands<'_> {
                 let g = Tensor::full(self.value(a).shape(), gy.data()[0] / n as f32);
                 self.accum(a, g);
             }
-            &Op::Reshape(a) => {
+            &Op::Reshape(a, _) => {
                 let g = gy.clone().reshaped(self.value(a).shape());
                 self.accum(a, g);
             }
@@ -1162,6 +931,14 @@ mod tests {
         let s = g.sum_all(y);
         g.backward(s);
         assert_eq!(g.grad(x).expect("grad").shape(), &[3, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for [1, 4, 2, 2]")]
+    fn builders_panic_with_the_shape_rule_message() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::zeros(&[1, 4, 2, 2]));
+        g.slice_chan(x, 2, 3);
     }
 
     #[test]

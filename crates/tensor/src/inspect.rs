@@ -1,315 +1,23 @@
 //! Static analysis and replay over a recorded autograd tape.
 //!
-//! A [`Graph`] is a flat tape of ops; this module lets tools
-//! look at that tape without executing it:
+//! A [`Graph`] is a flat tape of ops; this module lets tools check that
+//! tape without trusting its recorded values:
 //!
-//! - [`Graph::node_info`] / [`Graph::nodes_info`] expose each node's op
-//!   ([`TapeOp`]), shape, and gradient flags,
-//! - [`Graph::validate`] runs symbolic shape inference, gradient
+//! - [`Graph::validate`] runs every op's shape rule, gradient
 //!   reachability, dead-node detection, and NaN-hazard flagging, returning
 //!   [`Diagnostic`]s instead of panicking,
 //! - [`Graph::replay_value`] re-executes the tape from (optionally
 //!   overridden) leaf values — the primitive finite-difference gradient
 //!   checking is built on (see the `dco-check` crate).
+//!
+//! Both dispatch through the same per-op definition (name, operands, shape
+//! rule, forward) the [`Graph`] builders record with, so a replay runs
+//! exactly the forward code the optimizers run.
 
-use crate::conv::{
-    conv2d_forward, conv_out_size, conv_transpose2d_forward, convt_out_size, maxpool2d_forward,
-};
-use crate::graph::{Node, Op};
+use crate::graph::Node;
+use crate::op::Op;
 use crate::{Graph, Tensor, Var};
 use std::fmt;
-
-/// Public, introspectable mirror of one tape op.
-///
-/// Operand order matches the op's mathematical argument order. `Custom` ops
-/// expose only their name and inputs; their semantics are opaque.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TapeOp {
-    /// A leaf created by `input` (constant) or `param` (trainable).
-    Leaf,
-    /// Elementwise `a + b`.
-    Add(Var, Var),
-    /// Elementwise `a - b`.
-    Sub(Var, Var),
-    /// Elementwise `a * b`.
-    Mul(Var, Var),
-    /// Elementwise `a / b`.
-    Div(Var, Var),
-    /// Elementwise negation.
-    Neg(Var),
-    /// `a + s`.
-    AddScalar(Var, f32),
-    /// `a * s`.
-    MulScalar(Var, f32),
-    /// Rectified linear unit.
-    Relu(Var),
-    /// Leaky ReLU with the given negative slope.
-    LeakyRelu(Var, f32),
-    /// Logistic sigmoid.
-    Sigmoid(Var),
-    /// Hyperbolic tangent.
-    Tanh(Var),
-    /// Softplus.
-    Softplus(Var),
-    /// Elementwise square root.
-    Sqrt(Var),
-    /// Elementwise square.
-    Square(Var),
-    /// Clamp to `[lo, hi]`.
-    Clamp(Var, f32, f32),
-    /// Dense matrix multiply.
-    Matmul(Var, Var),
-    /// Row-bias broadcast add.
-    AddBiasRow(Var, Var),
-    /// Channel-bias broadcast add.
-    AddBiasChan(Var, Var),
-    /// Sum of all elements.
-    SumAll(Var),
-    /// Mean of all elements.
-    MeanAll(Var),
-    /// Reshape (element count preserved).
-    Reshape(Var),
-    /// 2D convolution.
-    Conv2d {
-        /// Input `[B,C_in,H,W]`.
-        x: Var,
-        /// Weights `[C_out,C_in,KH,KW]`.
-        w: Var,
-        /// Optional bias `[C_out]`.
-        b: Option<Var>,
-        /// Stride.
-        stride: usize,
-        /// Zero padding.
-        pad: usize,
-    },
-    /// 2D transposed convolution.
-    ConvT2d {
-        /// Input `[B,C_in,H,W]`.
-        x: Var,
-        /// Weights `[C_in,C_out,KH,KW]`.
-        w: Var,
-        /// Optional bias `[C_out]`.
-        b: Option<Var>,
-        /// Stride.
-        stride: usize,
-        /// Zero padding.
-        pad: usize,
-    },
-    /// k×k max pooling.
-    MaxPool2d {
-        /// Input `[B,C,H,W]`.
-        x: Var,
-        /// Pool size.
-        k: usize,
-    },
-    /// Channel concatenation.
-    ConcatChan(Vec<Var>),
-    /// Channel slice.
-    SliceChan {
-        /// Input `[B,C,H,W]`.
-        x: Var,
-        /// First channel.
-        start: usize,
-        /// Number of channels.
-        len: usize,
-    },
-    /// Column slice.
-    SliceCols {
-        /// Input `[R,C]`.
-        x: Var,
-        /// First column.
-        start: usize,
-        /// Number of columns.
-        len: usize,
-    },
-    /// Sparse × dense product with a constant `[rows, cols]` CSR matrix.
-    Spmm {
-        /// CSR row count.
-        rows: usize,
-        /// CSR column count.
-        cols: usize,
-        /// Dense right-hand side.
-        x: Var,
-    },
-    /// A user-defined [`CustomOp`](crate::CustomOp).
-    Custom {
-        /// The op's debug name.
-        name: String,
-        /// Its inputs.
-        inputs: Vec<Var>,
-    },
-}
-
-impl TapeOp {
-    /// Short op name, e.g. `"add"`, `"conv2d"`, or a custom op's own name.
-    pub fn name(&self) -> &str {
-        match self {
-            TapeOp::Leaf => "leaf",
-            TapeOp::Add(..) => "add",
-            TapeOp::Sub(..) => "sub",
-            TapeOp::Mul(..) => "mul",
-            TapeOp::Div(..) => "div",
-            TapeOp::Neg(..) => "neg",
-            TapeOp::AddScalar(..) => "add_scalar",
-            TapeOp::MulScalar(..) => "mul_scalar",
-            TapeOp::Relu(..) => "relu",
-            TapeOp::LeakyRelu(..) => "leaky_relu",
-            TapeOp::Sigmoid(..) => "sigmoid",
-            TapeOp::Tanh(..) => "tanh",
-            TapeOp::Softplus(..) => "softplus",
-            TapeOp::Sqrt(..) => "sqrt",
-            TapeOp::Square(..) => "square",
-            TapeOp::Clamp(..) => "clamp",
-            TapeOp::Matmul(..) => "matmul",
-            TapeOp::AddBiasRow(..) => "add_bias_row",
-            TapeOp::AddBiasChan(..) => "add_bias_chan",
-            TapeOp::SumAll(..) => "sum_all",
-            TapeOp::MeanAll(..) => "mean_all",
-            TapeOp::Reshape(..) => "reshape",
-            TapeOp::Conv2d { .. } => "conv2d",
-            TapeOp::ConvT2d { .. } => "conv_transpose2d",
-            TapeOp::MaxPool2d { .. } => "maxpool2d",
-            TapeOp::ConcatChan(..) => "concat_chan",
-            TapeOp::SliceChan { .. } => "slice_chan",
-            TapeOp::SliceCols { .. } => "slice_cols",
-            TapeOp::Spmm { .. } => "spmm",
-            TapeOp::Custom { name, .. } => name,
-        }
-    }
-
-    /// The op's direct operands, in argument order.
-    pub fn operands(&self) -> Vec<Var> {
-        match self {
-            TapeOp::Leaf => Vec::new(),
-            TapeOp::Add(a, b)
-            | TapeOp::Sub(a, b)
-            | TapeOp::Mul(a, b)
-            | TapeOp::Div(a, b)
-            | TapeOp::Matmul(a, b)
-            | TapeOp::AddBiasRow(a, b)
-            | TapeOp::AddBiasChan(a, b) => vec![*a, *b],
-            TapeOp::Neg(a)
-            | TapeOp::AddScalar(a, _)
-            | TapeOp::MulScalar(a, _)
-            | TapeOp::Relu(a)
-            | TapeOp::LeakyRelu(a, _)
-            | TapeOp::Sigmoid(a)
-            | TapeOp::Tanh(a)
-            | TapeOp::Softplus(a)
-            | TapeOp::Sqrt(a)
-            | TapeOp::Square(a)
-            | TapeOp::Clamp(a, _, _)
-            | TapeOp::SumAll(a)
-            | TapeOp::MeanAll(a)
-            | TapeOp::Reshape(a) => vec![*a],
-            TapeOp::Conv2d { x, w, b, .. } | TapeOp::ConvT2d { x, w, b, .. } => {
-                let mut v = vec![*x, *w];
-                v.extend(*b);
-                v
-            }
-            TapeOp::MaxPool2d { x, .. }
-            | TapeOp::SliceChan { x, .. }
-            | TapeOp::SliceCols { x, .. }
-            | TapeOp::Spmm { x, .. } => vec![*x],
-            TapeOp::ConcatChan(parts) => parts.clone(),
-            TapeOp::Custom { inputs, .. } => inputs.clone(),
-        }
-    }
-}
-
-fn to_tape_op(op: &Op) -> TapeOp {
-    match op {
-        Op::Leaf => TapeOp::Leaf,
-        Op::Add(a, b) => TapeOp::Add(*a, *b),
-        Op::Sub(a, b) => TapeOp::Sub(*a, *b),
-        Op::Mul(a, b) => TapeOp::Mul(*a, *b),
-        Op::Div(a, b) => TapeOp::Div(*a, *b),
-        Op::Neg(a) => TapeOp::Neg(*a),
-        Op::AddScalar(a, s) => TapeOp::AddScalar(*a, *s),
-        Op::MulScalar(a, s) => TapeOp::MulScalar(*a, *s),
-        Op::Relu(a) => TapeOp::Relu(*a),
-        Op::LeakyRelu(a, s) => TapeOp::LeakyRelu(*a, *s),
-        Op::Sigmoid(a) => TapeOp::Sigmoid(*a),
-        Op::Tanh(a) => TapeOp::Tanh(*a),
-        Op::Softplus(a) => TapeOp::Softplus(*a),
-        Op::Sqrt(a) => TapeOp::Sqrt(*a),
-        Op::Square(a) => TapeOp::Square(*a),
-        Op::Clamp(a, lo, hi) => TapeOp::Clamp(*a, *lo, *hi),
-        Op::Matmul(a, b) => TapeOp::Matmul(*a, *b),
-        Op::AddBiasRow(a, b) => TapeOp::AddBiasRow(*a, *b),
-        Op::AddBiasChan(a, b) => TapeOp::AddBiasChan(*a, *b),
-        Op::SumAll(a) => TapeOp::SumAll(*a),
-        Op::MeanAll(a) => TapeOp::MeanAll(*a),
-        Op::Reshape(a) => TapeOp::Reshape(*a),
-        Op::Conv2d {
-            x,
-            w,
-            b,
-            stride,
-            pad,
-        } => TapeOp::Conv2d {
-            x: *x,
-            w: *w,
-            b: *b,
-            stride: *stride,
-            pad: *pad,
-        },
-        Op::ConvT2d {
-            x,
-            w,
-            b,
-            stride,
-            pad,
-        } => TapeOp::ConvT2d {
-            x: *x,
-            w: *w,
-            b: *b,
-            stride: *stride,
-            pad: *pad,
-        },
-        Op::MaxPool2d { x, k, .. } => TapeOp::MaxPool2d { x: *x, k: *k },
-        Op::ConcatChan(parts) => TapeOp::ConcatChan(parts.to_vec()),
-        Op::SliceChan { x, start, len } => TapeOp::SliceChan {
-            x: *x,
-            start: *start,
-            len: *len,
-        },
-        Op::SliceCols { x, start, len } => TapeOp::SliceCols {
-            x: *x,
-            start: *start,
-            len: *len,
-        },
-        Op::Spmm { a, x } => TapeOp::Spmm {
-            rows: a.n_rows(),
-            cols: a.n_cols(),
-            x: *x,
-        },
-        Op::Custom { op, inputs } => TapeOp::Custom {
-            name: op.name().to_string(),
-            inputs: inputs.to_vec(),
-        },
-    }
-}
-
-/// Introspection snapshot of one tape node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeInfo {
-    /// Tape position (equals `Var::index()`).
-    pub id: usize,
-    /// The recorded op.
-    pub op: TapeOp,
-    /// Shape of the recorded value.
-    pub shape: Vec<usize>,
-    /// Whether gradients flow through this node.
-    pub requires_grad: bool,
-}
-
-impl NodeInfo {
-    /// Whether this node is a trainable leaf.
-    pub fn is_param(&self) -> bool {
-        matches!(self.op, TapeOp::Leaf) && self.requires_grad
-    }
-}
 
 /// How serious a [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -381,225 +89,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Expected output shape of `op` given operand shapes, or a mismatch report.
-///
-/// Returns `Ok(None)` for ops whose output shape cannot be inferred
-/// symbolically (custom ops, reshape targets).
-fn infer_shape(nodes: &[Node], op: &Op) -> Result<Option<Vec<usize>>, String> {
-    let shape = |v: &Var| nodes[v.0].value.shape().to_vec();
-    let fmt_s = |s: &[usize]| format!("{s:?}");
-    match op {
-        Op::Leaf => Ok(None),
-        Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) => {
-            let (sa, sb) = (shape(a), shape(b));
-            if sa != sb {
-                return Err(format!(
-                    "elementwise operands disagree: {} vs {}",
-                    fmt_s(&sa),
-                    fmt_s(&sb)
-                ));
-            }
-            Ok(Some(sa))
-        }
-        Op::Neg(a)
-        | Op::AddScalar(a, _)
-        | Op::MulScalar(a, _)
-        | Op::Relu(a)
-        | Op::LeakyRelu(a, _)
-        | Op::Sigmoid(a)
-        | Op::Tanh(a)
-        | Op::Softplus(a)
-        | Op::Sqrt(a)
-        | Op::Square(a)
-        | Op::Clamp(a, _, _) => Ok(Some(shape(a))),
-        Op::Matmul(a, b) => {
-            let (sa, sb) = (shape(a), shape(b));
-            if sa.len() != 2 || sb.len() != 2 {
-                return Err(format!(
-                    "matmul needs rank-2 operands, got {} x {}",
-                    fmt_s(&sa),
-                    fmt_s(&sb)
-                ));
-            }
-            if sa[1] != sb[0] {
-                return Err(format!(
-                    "matmul inner dims disagree: {} x {}",
-                    fmt_s(&sa),
-                    fmt_s(&sb)
-                ));
-            }
-            Ok(Some(vec![sa[0], sb[1]]))
-        }
-        Op::AddBiasRow(x, b) => {
-            let (sx, sb) = (shape(x), shape(b));
-            if sx.len() != 2 || sb != vec![sx[1]] {
-                return Err(format!(
-                    "row bias {} does not broadcast over {}",
-                    fmt_s(&sb),
-                    fmt_s(&sx)
-                ));
-            }
-            Ok(Some(sx))
-        }
-        Op::AddBiasChan(x, b) => {
-            let (sx, sb) = (shape(x), shape(b));
-            if sx.len() != 4 || sb != vec![sx[1]] {
-                return Err(format!(
-                    "channel bias {} does not broadcast over {}",
-                    fmt_s(&sb),
-                    fmt_s(&sx)
-                ));
-            }
-            Ok(Some(sx))
-        }
-        Op::SumAll(_) | Op::MeanAll(_) => Ok(Some(vec![1])),
-        Op::Reshape(_) => Ok(None), // target shape lives only in the output
-        Op::Conv2d {
-            x,
-            w,
-            b,
-            stride,
-            pad,
-        } => {
-            let (sx, sw) = (shape(x), shape(w));
-            if sx.len() != 4 || sw.len() != 4 {
-                return Err(format!(
-                    "conv2d needs 4D x and w, got {} and {}",
-                    fmt_s(&sx),
-                    fmt_s(&sw)
-                ));
-            }
-            if sx[1] != sw[1] {
-                return Err(format!(
-                    "conv2d channel mismatch: x {} vs w {}",
-                    fmt_s(&sx),
-                    fmt_s(&sw)
-                ));
-            }
-            if let Some(bb) = b {
-                let sb = shape(bb);
-                if sb != vec![sw[0]] {
-                    return Err(format!("conv2d bias {} must be [{}]", fmt_s(&sb), sw[0]));
-                }
-            }
-            if sx[2] + 2 * pad < sw[2] || sx[3] + 2 * pad < sw[3] {
-                return Err(format!(
-                    "conv2d kernel {} exceeds padded input {}",
-                    fmt_s(&sw),
-                    fmt_s(&sx)
-                ));
-            }
-            Ok(Some(vec![
-                sx[0],
-                sw[0],
-                conv_out_size(sx[2], sw[2], *stride, *pad),
-                conv_out_size(sx[3], sw[3], *stride, *pad),
-            ]))
-        }
-        Op::ConvT2d {
-            x,
-            w,
-            b,
-            stride,
-            pad,
-        } => {
-            let (sx, sw) = (shape(x), shape(w));
-            if sx.len() != 4 || sw.len() != 4 {
-                return Err(format!(
-                    "conv_transpose2d needs 4D x and w, got {} and {}",
-                    fmt_s(&sx),
-                    fmt_s(&sw)
-                ));
-            }
-            if sx[1] != sw[0] {
-                return Err(format!(
-                    "conv_transpose2d channel mismatch: x {} vs w {}",
-                    fmt_s(&sx),
-                    fmt_s(&sw)
-                ));
-            }
-            if let Some(bb) = b {
-                let sb = shape(bb);
-                if sb != vec![sw[1]] {
-                    return Err(format!(
-                        "conv_transpose2d bias {} must be [{}]",
-                        fmt_s(&sb),
-                        sw[1]
-                    ));
-                }
-            }
-            Ok(Some(vec![
-                sx[0],
-                sw[1],
-                convt_out_size(sx[2], sw[2], *stride, *pad),
-                convt_out_size(sx[3], sw[3], *stride, *pad),
-            ]))
-        }
-        Op::MaxPool2d { x, k, .. } => {
-            let sx = shape(x);
-            if sx.len() != 4 || *k == 0 || sx[2] % k != 0 || sx[3] % k != 0 {
-                return Err(format!("maxpool2d({k}) does not tile input {}", fmt_s(&sx)));
-            }
-            Ok(Some(vec![sx[0], sx[1], sx[2] / k, sx[3] / k]))
-        }
-        Op::ConcatChan(parts) => {
-            let first = shape(&parts[0]);
-            if first.len() != 4 {
-                return Err(format!(
-                    "concat_chan needs 4D inputs, got {}",
-                    fmt_s(&first)
-                ));
-            }
-            let mut c = 0;
-            for p in parts.iter() {
-                let s = shape(p);
-                if s.len() != 4 || (s[0], s[2], s[3]) != (first[0], first[2], first[3]) {
-                    return Err(format!(
-                        "concat_chan input {} disagrees with {}",
-                        fmt_s(&s),
-                        fmt_s(&first)
-                    ));
-                }
-                c += s[1];
-            }
-            Ok(Some(vec![first[0], c, first[2], first[3]]))
-        }
-        Op::SliceChan { x, start, len } => {
-            let sx = shape(x);
-            if sx.len() != 4 || start + len > sx[1] {
-                return Err(format!(
-                    "channel slice [{start}, {start}+{len}) out of range for {}",
-                    fmt_s(&sx)
-                ));
-            }
-            Ok(Some(vec![sx[0], *len, sx[2], sx[3]]))
-        }
-        Op::SliceCols { x, start, len } => {
-            let sx = shape(x);
-            if sx.len() != 2 || start + len > sx[1] {
-                return Err(format!(
-                    "column slice [{start}, {start}+{len}) out of range for {}",
-                    fmt_s(&sx)
-                ));
-            }
-            Ok(Some(vec![sx[0], *len]))
-        }
-        Op::Spmm { a, x } => {
-            let sx = shape(x);
-            if sx.len() != 2 || sx[0] != a.n_cols() {
-                return Err(format!(
-                    "spmm [{}, {}] x {} inner dims disagree",
-                    a.n_rows(),
-                    a.n_cols(),
-                    fmt_s(&sx)
-                ));
-            }
-            Ok(Some(vec![a.n_rows(), sx[1]]))
-        }
-        Op::Custom { .. } => Ok(None),
-    }
-}
-
 /// Whether `v`'s op guarantees an output bounded away from zero (or at least
 /// non-negative for sqrt), making a downstream `div`/`sqrt` safe.
 fn guards_against_zero(nodes: &[Node], v: Var) -> bool {
@@ -623,36 +112,13 @@ fn non_negative(nodes: &[Node], v: Var) -> bool {
         Op::Clamp(_, lo, _) => *lo >= 0.0,
         Op::AddScalar(a, s) => *s >= 0.0 && non_negative(nodes, *a),
         Op::MulScalar(a, s) => *s >= 0.0 && non_negative(nodes, *a),
-        Op::MeanAll(a) | Op::SumAll(a) | Op::Reshape(a) => non_negative(nodes, *a),
+        Op::MeanAll(a) | Op::SumAll(a) | Op::Reshape(a, _) => non_negative(nodes, *a),
         Op::Mul(a, b) => a == b, // x * x
         _ => false,
     }
 }
 
 impl Graph {
-    /// Number of nodes on the tape (alias of [`Graph::len`]).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Introspection snapshot of node `v`.
-    pub fn node_info(&self, v: Var) -> NodeInfo {
-        let n = &self.nodes[v.0];
-        NodeInfo {
-            id: v.0,
-            op: to_tape_op(&n.op),
-            shape: n.value.shape().to_vec(),
-            requires_grad: n.requires_grad,
-        }
-    }
-
-    /// Introspection snapshots of every node, in tape order.
-    pub fn nodes_info(&self) -> Vec<NodeInfo> {
-        (0..self.nodes.len())
-            .map(|i| self.node_info(Var(i)))
-            .collect()
-    }
-
     /// All trainable leaves (`param`) on the tape.
     pub fn param_vars(&self) -> Vec<Var> {
         self.nodes
@@ -667,10 +133,10 @@ impl Graph {
     ///
     /// Runs four passes without executing any op:
     ///
-    /// 1. **Shape inference** — recompute each node's expected output shape
-    ///    from its operands' recorded shapes; incompatible operands or a
-    ///    stale recorded shape (possible after [`Graph::set_leaf`]) are
-    ///    errors.
+    /// 1. **Shape rules** — recompute each node's output shape from its
+    ///    operands' recorded shapes with the rule its builder checked;
+    ///    incompatible operands or a stale recorded shape (possible after
+    ///    [`Graph::set_leaf`]) are errors.
     /// 2. **Gradient reachability** — every `param` must have a path to
     ///    `root`, else `backward(root)` silently leaves it without a
     ///    gradient (warning).
@@ -683,42 +149,35 @@ impl Graph {
     ///
     /// Diagnostics are ordered by node id.
     pub fn validate(&self, root: Var) -> Vec<Diagnostic> {
-        let mut diags = Vec::new();
         let nodes = &self.nodes;
+        let mut diags = Vec::new();
+        let mut report = |node: usize, severity, kind, message| {
+            let op = nodes[node].op.name().to_string();
+            diags.push(Diagnostic {
+                node,
+                op,
+                severity,
+                kind,
+                message,
+            });
+        };
 
-        // Pass 1: shape inference + non-finite recorded values.
+        // Pass 1: shape rules + non-finite recorded values.
         for (i, n) in nodes.iter().enumerate() {
-            match infer_shape(nodes, &n.op) {
-                Err(msg) => diags.push(Diagnostic {
-                    node: i,
-                    op: to_tape_op(&n.op).name().to_string(),
-                    severity: Severity::Error,
-                    kind: DiagnosticKind::ShapeMismatch,
-                    message: msg,
-                }),
-                Ok(Some(expected)) if expected != n.value.shape() => {
-                    diags.push(Diagnostic {
-                        node: i,
-                        op: to_tape_op(&n.op).name().to_string(),
-                        severity: Severity::Error,
-                        kind: DiagnosticKind::ShapeMismatch,
-                        message: format!(
-                            "recorded output shape {:?} but operands imply {:?}",
-                            n.value.shape(),
-                            expected
-                        ),
-                    });
-                }
-                _ => {}
+            let recorded = n.value.shape();
+            let mismatch = match n.op.shape(|v| nodes[v.0].value.shape()) {
+                Err(msg) => Some(msg),
+                Ok(Some(expected)) if expected != recorded => Some(format!(
+                    "recorded output shape {recorded:?} but operands imply {expected:?}"
+                )),
+                Ok(_) => None,
+            };
+            if let Some(msg) = mismatch {
+                report(i, Severity::Error, DiagnosticKind::ShapeMismatch, msg);
             }
             if n.value.data().iter().any(|v| !v.is_finite()) {
-                diags.push(Diagnostic {
-                    node: i,
-                    op: to_tape_op(&n.op).name().to_string(),
-                    severity: Severity::Error,
-                    kind: DiagnosticKind::NonFiniteValue,
-                    message: "recorded value contains NaN or Inf".to_string(),
-                });
+                let msg = "recorded value contains NaN or Inf".to_string();
+                report(i, Severity::Error, DiagnosticKind::NonFiniteValue, msg);
             }
         }
 
@@ -726,75 +185,53 @@ impl Graph {
         let mut reachable = vec![false; nodes.len()];
         reachable[root.0] = true;
         for i in (0..=root.0).rev() {
-            if !reachable[i] {
-                continue;
-            }
-            for v in to_tape_op(&nodes[i].op).operands() {
-                reachable[v.0] = true;
+            if reachable[i] {
+                for v in nodes[i].op.operands() {
+                    reachable[v.0] = true;
+                }
             }
         }
 
         // Pass 2: unreachable params.
         for (i, n) in nodes.iter().enumerate() {
             if matches!(n.op, Op::Leaf) && n.requires_grad && !reachable[i] {
-                diags.push(Diagnostic {
-                    node: i,
-                    op: "leaf".to_string(),
-                    severity: Severity::Warning,
-                    kind: DiagnosticKind::UnreachableParam,
-                    message: format!(
-                        "param has no path to backward root (node {}); it will never \
-                         receive a gradient",
-                        root.0
-                    ),
-                });
+                let msg = format!(
+                    "param has no path to backward root (node {}); it will never \
+                     receive a gradient",
+                    root.0
+                );
+                report(i, Severity::Warning, DiagnosticKind::UnreachableParam, msg);
             }
         }
 
         // Pass 3: dead non-leaf nodes.
         for (i, n) in nodes.iter().enumerate() {
             if !matches!(n.op, Op::Leaf) && !reachable[i] {
-                diags.push(Diagnostic {
-                    node: i,
-                    op: to_tape_op(&n.op).name().to_string(),
-                    severity: Severity::Warning,
-                    kind: DiagnosticKind::DeadNode,
-                    message: format!("computed but does not feed root (node {})", root.0),
-                });
+                let msg = format!("computed but does not feed root (node {})", root.0);
+                report(i, Severity::Warning, DiagnosticKind::DeadNode, msg);
             }
         }
 
         // Pass 4: unguarded div / sqrt.
         for (i, n) in nodes.iter().enumerate() {
-            match &n.op {
-                Op::Div(_, b) if !guards_against_zero(nodes, *b) => diags.push(Diagnostic {
-                    node: i,
-                    op: "div".to_string(),
-                    severity: Severity::Warning,
-                    kind: DiagnosticKind::NanHazard,
-                    message: format!(
-                        "divisor (node {}, {}) is not guarded against zero; add an eps \
-                         via add_scalar or clamp away from zero",
-                        b.0,
-                        to_tape_op(&nodes[b.0].op).name()
-                    ),
-                }),
-                Op::Sqrt(a) if !guards_against_zero(nodes, *a) && !non_negative(nodes, *a) => {
-                    diags.push(Diagnostic {
-                        node: i,
-                        op: "sqrt".to_string(),
-                        severity: Severity::Warning,
-                        kind: DiagnosticKind::NanHazard,
-                        message: format!(
-                            "input (node {}, {}) may be zero or negative; the gradient \
-                             explodes near zero — guard with add_scalar(eps)",
-                            a.0,
-                            to_tape_op(&nodes[a.0].op).name()
-                        ),
-                    });
+            let msg = match n.op {
+                Op::Div(_, b) if !guards_against_zero(nodes, b) => format!(
+                    "divisor (node {}, {}) is not guarded against zero; add an eps \
+                     via add_scalar or clamp away from zero",
+                    b.0,
+                    nodes[b.0].op.name()
+                ),
+                Op::Sqrt(a) if !guards_against_zero(nodes, a) && !non_negative(nodes, a) => {
+                    format!(
+                        "input (node {}, {}) may be zero or negative; the gradient \
+                         explodes near zero — guard with add_scalar(eps)",
+                        a.0,
+                        nodes[a.0].op.name()
+                    )
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            report(i, Severity::Warning, DiagnosticKind::NanHazard, msg);
         }
 
         diags.sort_by_key(|d| d.node);
@@ -804,14 +241,15 @@ impl Graph {
     /// Re-execute the tape up to `target` and return its recomputed value.
     ///
     /// `overrides` substitutes values for leaf nodes (by `Var`); all other
-    /// leaves use their recorded values. Non-leaf nodes are recomputed from
-    /// scratch — including max-pool argmax indices and custom-op forwards —
-    /// so this is a true forward pass, suitable as the function evaluation
-    /// inside finite-difference gradient checks.
+    /// leaves use their recorded values. Every non-leaf node is recomputed
+    /// by the same op forward its builder ran — max-pool argmax indices and
+    /// custom-op forwards included — so this is a true forward pass,
+    /// suitable as the function evaluation inside finite-difference
+    /// gradient checks. The recorded tape is left untouched.
     ///
     /// # Panics
     /// Panics if an override targets a non-leaf node or changes a leaf's
-    /// shape, or if recomputation hits an op-level shape violation
+    /// shape, or if an op's shape rule rejects its recomputed operands
     /// (validate first to get diagnostics instead).
     pub fn replay_value(&self, target: Var, overrides: &[(Var, Tensor)]) -> Tensor {
         for (v, t) in overrides {
@@ -828,142 +266,14 @@ impl Graph {
             );
         }
         let mut values: Vec<Tensor> = Vec::with_capacity(target.0 + 1);
-        for i in 0..=target.0 {
-            let val = |v: &Var| &values[v.0];
-            let out = match &self.nodes[i].op {
+        for (i, node) in self.nodes[..=target.0].iter().enumerate() {
+            let out = match &node.op {
                 Op::Leaf => overrides
                     .iter()
                     .find(|(v, _)| v.0 == i)
-                    .map(|(_, t)| t.clone())
-                    .unwrap_or_else(|| self.nodes[i].value.clone()),
-                Op::Add(a, b) => val(a).zip(val(b), |x, y| x + y),
-                Op::Sub(a, b) => val(a).zip(val(b), |x, y| x - y),
-                Op::Mul(a, b) => val(a).zip(val(b), |x, y| x * y),
-                Op::Div(a, b) => val(a).zip(val(b), |x, y| x / y),
-                Op::Neg(a) => val(a).map(|x| -x),
-                Op::AddScalar(a, s) => {
-                    let s = *s;
-                    val(a).map(|x| x + s)
-                }
-                Op::MulScalar(a, s) => {
-                    let s = *s;
-                    val(a).map(|x| x * s)
-                }
-                Op::Relu(a) => val(a).map(|x| x.max(0.0)),
-                Op::LeakyRelu(a, alpha) => {
-                    let alpha = *alpha;
-                    val(a).map(|x| if x >= 0.0 { x } else { alpha * x })
-                }
-                Op::Sigmoid(a) => val(a).map(|x| 1.0 / (1.0 + (-x).exp())),
-                Op::Tanh(a) => val(a).map(f32::tanh),
-                Op::Softplus(a) => val(a).map(|x| if x > 20.0 { x } else { (1.0 + x.exp()).ln() }),
-                Op::Sqrt(a) => val(a).map(|x| x.max(0.0).sqrt()),
-                Op::Square(a) => val(a).map(|x| x * x),
-                Op::Clamp(a, lo, hi) => {
-                    let (lo, hi) = (*lo, *hi);
-                    val(a).map(|x| x.clamp(lo, hi))
-                }
-                Op::Matmul(a, b) => val(a).matmul(val(b)),
-                Op::AddBiasRow(x, b) => {
-                    let (xv, bv) = (val(x), val(b));
-                    let n = bv.len();
-                    let mut out = xv.clone();
-                    for row in 0..xv.shape()[0] {
-                        for j in 0..n {
-                            out.data_mut()[row * n + j] += bv.data()[j];
-                        }
-                    }
-                    out
-                }
-                Op::AddBiasChan(x, b) => {
-                    let (xv, bv) = (val(x), val(b));
-                    let s = xv.shape().to_vec();
-                    let (bsz, c, h, w) = (s[0], s[1], s[2], s[3]);
-                    let mut out = xv.clone();
-                    for bi in 0..bsz {
-                        for ci in 0..c {
-                            let base = (bi * c + ci) * h * w;
-                            let bias = bv.data()[ci];
-                            for v in &mut out.data_mut()[base..base + h * w] {
-                                *v += bias;
-                            }
-                        }
-                    }
-                    out
-                }
-                Op::SumAll(a) => Tensor::scalar(val(a).sum()),
-                Op::MeanAll(a) => Tensor::scalar(val(a).mean()),
-                Op::Reshape(a) => val(a).clone().reshaped(self.nodes[i].value.shape()),
-                Op::Conv2d {
-                    x,
-                    w,
-                    b,
-                    stride,
-                    pad,
-                } => conv2d_forward(val(x), val(w), b.as_ref().map(val), *stride, *pad),
-                Op::ConvT2d {
-                    x,
-                    w,
-                    b,
-                    stride,
-                    pad,
-                } => conv_transpose2d_forward(val(x), val(w), b.as_ref().map(val), *stride, *pad),
-                Op::MaxPool2d { x, k, .. } => maxpool2d_forward(val(x), *k).0,
-                Op::ConcatChan(parts) => {
-                    let first = val(&parts[0]).shape().to_vec();
-                    let (bsz, h, w) = (first[0], first[2], first[3]);
-                    let c_total: usize = parts.iter().map(|p| val(p).shape()[1]).sum();
-                    let plane = h * w;
-                    let mut out = Tensor::zeros(&[bsz, c_total, h, w]);
-                    for bi in 0..bsz {
-                        let mut c_off = 0;
-                        for p in parts.iter() {
-                            let pv = val(p);
-                            let c = pv.shape()[1];
-                            for ci in 0..c {
-                                let sbase = (bi * c + ci) * plane;
-                                let dbase = (bi * c_total + c_off + ci) * plane;
-                                out.data_mut()[dbase..dbase + plane]
-                                    .copy_from_slice(&pv.data()[sbase..sbase + plane]);
-                            }
-                            c_off += c;
-                        }
-                    }
-                    out
-                }
-                Op::SliceChan { x, start, len } => {
-                    let xv = val(x);
-                    let s = xv.shape().to_vec();
-                    let (bsz, c, h, w) = (s[0], s[1], s[2], s[3]);
-                    let plane = h * w;
-                    let mut out = Tensor::zeros(&[bsz, *len, h, w]);
-                    for bi in 0..bsz {
-                        for ci in 0..*len {
-                            let sbase = (bi * c + start + ci) * plane;
-                            let dbase = (bi * len + ci) * plane;
-                            out.data_mut()[dbase..dbase + plane]
-                                .copy_from_slice(&xv.data()[sbase..sbase + plane]);
-                        }
-                    }
-                    out
-                }
-                Op::SliceCols { x, start, len } => {
-                    let xv = val(x);
-                    let s = xv.shape().to_vec();
-                    let (rows, cols) = (s[0], s[1]);
-                    let mut out = Tensor::zeros(&[rows, *len]);
-                    for r in 0..rows {
-                        for j in 0..*len {
-                            out.data_mut()[r * len + j] = xv.data()[r * cols + start + j];
-                        }
-                    }
-                    out
-                }
-                Op::Spmm { a, x } => a.matmul_dense(val(x)),
-                Op::Custom { op, inputs } => {
-                    let refs: Vec<&Tensor> = inputs.iter().map(|v| &values[v.0]).collect();
-                    op.forward(&refs)
-                }
+                    .map_or(&node.value, |(_, t)| t)
+                    .clone(),
+                op => op.clone().forward(|v| &values[v.0]),
             };
             values.push(out);
         }
@@ -975,7 +285,31 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Csr;
+    use std::collections::BTreeSet;
     use std::rc::Rc;
+
+    /// A custom op multiplying its input by a constant.
+    struct Scale(f32);
+
+    impl crate::CustomOp for Scale {
+        fn name(&self) -> &str {
+            "scale"
+        }
+        fn forward(&self, inputs: &[&Tensor]) -> Tensor {
+            let s = self.0;
+            inputs[0].map(|v| s * v)
+        }
+        fn backward(
+            &self,
+            _inputs: &[&Tensor],
+            _output: &Tensor,
+            grad_output: &Tensor,
+        ) -> Vec<Option<Tensor>> {
+            let s = self.0;
+            vec![Some(grad_output.map(|v| s * v))]
+        }
+    }
 
     fn well_formed() -> (Graph, Var, Var) {
         let mut g = Graph::new();
@@ -996,17 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn introspection_reports_ops_and_shapes() {
-        let (g, x, root) = well_formed();
-        assert_eq!(g.node_count(), 6);
-        assert_eq!(g.node_info(x).op, TapeOp::Leaf);
-        assert!(g.node_info(x).is_param());
-        assert_eq!(g.node_info(root).shape, vec![1]);
-        assert_eq!(g.node_info(root).op.name(), "sum_all");
+    fn param_vars_lists_trainable_leaves() {
+        let (g, x, _) = well_formed();
         assert_eq!(g.param_vars(), vec![x]);
-        let infos = g.nodes_info();
-        assert_eq!(infos.len(), 6);
-        assert_eq!(infos[1].op.operands(), vec![x]);
     }
 
     #[test]
@@ -1024,6 +350,22 @@ mod tests {
             .expect("diag");
         assert_eq!(first.node, 1);
         assert_eq!(first.op, "square");
+    }
+
+    #[test]
+    fn stale_leaf_behind_reshape_is_an_error() {
+        let mut g = Graph::new();
+        let x = g.param(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[4]));
+        let r = g.reshape(x, &[2, 2]);
+        let root = g.sum_all(r);
+        g.set_leaf(x, Tensor::ones(&[3]));
+        let first = g
+            .validate(root)
+            .into_iter()
+            .find(|d| d.kind == DiagnosticKind::ShapeMismatch)
+            .expect("a shape mismatch");
+        assert_eq!((first.node, first.op.as_str()), (r.index(), "reshape"));
+        assert_eq!(first.severity, Severity::Error);
     }
 
     #[test]
@@ -1087,9 +429,76 @@ mod tests {
 
     #[test]
     fn replay_matches_recorded_values() {
-        let (g, _, root) = well_formed();
-        let replayed = g.replay_value(root, &[]);
-        assert_eq!(replayed.data(), g.value(root).data());
+        // One tape recording every built-in op and a custom op.
+        let ramp = |shape: &[usize], phase: f32| {
+            let n = shape.iter().product::<usize>();
+            let data = (0..n).map(|i| (i as f32 * 0.37 + phase).sin()).collect();
+            Tensor::from_vec(data, shape)
+        };
+        let mut g = Graph::new();
+        let img = g.param(ramp(&[1, 2, 4, 4], 0.0));
+        let w = g.param(ramp(&[2, 2, 3, 3], 0.1));
+        let b = g.param(ramp(&[2], 0.2));
+        let conv = g.conv2d(img, w, Some(b), 1, 1); // [1, 2, 4, 4]
+        let wt = g.param(ramp(&[2, 3, 2, 2], 0.3));
+        let up = g.conv_transpose2d(conv, wt, None, 2, 0); // [1, 3, 8, 8]
+        let pool = g.maxpool2d(up, 2); // [1, 3, 4, 4]
+        let cb = g.param(ramp(&[3], 0.4));
+        let biased = g.add_bias_chan(pool, cb);
+        let cat = g.concat_chan(&[biased, conv]); // [1, 5, 4, 4]
+        let chans = g.slice_chan(cat, 1, 3); // [1, 3, 4, 4]
+        let flat = g.reshape(chans, &[6, 8]);
+        let m = g.param(ramp(&[8, 2], 0.5));
+        let prod = g.matmul(flat, m); // [6, 2]
+        let rb = g.param(ramp(&[2], 0.6));
+        let rows = g.add_bias_row(prod, rb);
+        let a = Rc::new(Csr::from_triplets(
+            3,
+            6,
+            vec![(0, 0, 1.0), (0, 5, -2.0), (1, 2, 0.5), (2, 4, 3.0)],
+        ));
+        let sp = g.spmm(a, rows); // [3, 2]
+        let col = g.slice_cols(sp, 1, 1); // [3, 1]
+        let x = g.reshape(col, &[3]);
+        let y = g.param(ramp(&[3], 0.7));
+        let e = g.add(x, y);
+        let e = g.sub(e, y);
+        let e = g.mul(e, y);
+        let pos = g.sigmoid(e);
+        let e = g.div(e, pos);
+        let e = g.neg(e);
+        let e = g.add_scalar(e, 0.5);
+        let e = g.mul_scalar(e, 1.5);
+        let r = g.relu(e);
+        let e = g.leaky_relu(e, 0.1);
+        let e = g.tanh(e);
+        let e = g.softplus(e);
+        let e = g.sqrt(e);
+        let e = g.square(e);
+        let e = g.clamp(e, 0.0, 0.8);
+        let e = g.custom(Rc::new(Scale(10.0)), &[e]);
+        let e = g.add(e, r);
+        let sum = g.sum_all(e);
+        let mean = g.mean_all(e);
+        g.add(sum, mean);
+
+        let names: BTreeSet<&str> = g.nodes.iter().map(|n| n.op.name()).collect();
+        assert_eq!(
+            names.len(),
+            28 + 2,
+            "28 built-in ops, leaf, custom: {names:?}"
+        );
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (i, node) in g.nodes.iter().enumerate() {
+            let replayed = g.replay_value(Var(i), &[]);
+            assert_eq!(replayed.shape(), node.value.shape(), "node {i}");
+            assert_eq!(
+                bits(&replayed),
+                bits(&node.value),
+                "node {i} ({})",
+                node.op.name()
+            );
+        }
     }
 
     #[test]
@@ -1123,25 +532,6 @@ mod tests {
 
     #[test]
     fn replay_runs_custom_ops() {
-        struct Scale(f32);
-        impl crate::CustomOp for Scale {
-            fn name(&self) -> &str {
-                "scale"
-            }
-            fn forward(&self, inputs: &[&Tensor]) -> Tensor {
-                let s = self.0;
-                inputs[0].map(|v| s * v)
-            }
-            fn backward(
-                &self,
-                _inputs: &[&Tensor],
-                _output: &Tensor,
-                grad_output: &Tensor,
-            ) -> Vec<Option<Tensor>> {
-                let s = self.0;
-                vec![Some(grad_output.map(|v| s * v))]
-            }
-        }
         let mut g = Graph::new();
         let x = g.param(Tensor::scalar(2.0));
         let y = g.custom(Rc::new(Scale(10.0)), &[x]);

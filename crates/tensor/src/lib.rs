@@ -39,6 +39,7 @@ mod graph;
 mod init;
 pub mod inspect;
 pub mod kernel;
+mod op;
 mod optim;
 mod sparse;
 mod tensor;
@@ -46,7 +47,7 @@ mod tensor;
 pub use arena::{ArenaStats, TensorArena};
 pub use graph::{CustomOp, Graph, Var};
 pub use init::Initializer;
-pub use inspect::{Diagnostic, DiagnosticKind, NodeInfo, Severity, TapeOp};
+pub use inspect::{Diagnostic, DiagnosticKind, Severity};
 pub use optim::{Adam, ParamStore, Sgd};
 pub use sparse::Csr;
 pub use tensor::Tensor;

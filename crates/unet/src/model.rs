@@ -52,6 +52,60 @@ pub struct SiameseUNet {
     store: ParamStore,
 }
 
+/// The nine conv layers, in the order their `(weight, bias)` pairs enter
+/// the tape.
+const LAYERS: [&str; 9] = [
+    "enc1", "enc2", "bott", "comm", "up1", "dec1", "up2", "dec2", "head",
+];
+
+/// Wire the Siamese UNet onto `g` from its per-layer `(weight, bias)` vars
+/// (in [`LAYERS`] order), for dies `f0` and `f1` with base width `f`.
+fn wire(g: &mut Graph, p: [(Var, Var); 9], f: usize, f0: Var, f1: Var) -> (Var, Var) {
+    let [enc1, enc2, bott, comm, up1, dec1, up2, dec2, head] = p;
+    let encode = |g: &mut Graph, x: Var| {
+        let e1 = g.conv2d(x, enc1.0, Some(enc1.1), 1, 1);
+        let e1 = g.leaky_relu(e1, 0.01);
+        let d1 = g.maxpool2d(e1, 2);
+        let e2 = g.conv2d(d1, enc2.0, Some(enc2.1), 1, 1);
+        let e2 = g.leaky_relu(e2, 0.01);
+        let d2 = g.maxpool2d(e2, 2);
+        let b = g.conv2d(d2, bott.0, Some(bott.1), 1, 1);
+        let b = g.leaky_relu(b, 0.01);
+        (e1, e2, b)
+    };
+    let (e1_0, e2_0, b0) = encode(g, f0);
+    let (e1_1, e2_1, b1) = encode(g, f1);
+
+    // Inter-die communication: concat channels, pointwise conv, split.
+    let fb = f * 4;
+    let cat = g.concat_chan(&[b0, b1]);
+    let mixed = g.conv2d(cat, comm.0, Some(comm.1), 1, 0);
+    let mixed = g.leaky_relu(mixed, 0.01);
+    let m0 = g.slice_chan(mixed, 0, fb);
+    let m1 = g.slice_chan(mixed, fb, fb);
+
+    let decode = |g: &mut Graph, b: Var, e2: Var, e1: Var| {
+        let u1 = g.conv_transpose2d(b, up1.0, Some(up1.1), 2, 0);
+        let u1 = g.leaky_relu(u1, 0.01);
+        let cat1 = g.concat_chan(&[u1, e2]);
+        let d1 = g.conv2d(cat1, dec1.0, Some(dec1.1), 1, 1);
+        let d1 = g.leaky_relu(d1, 0.01);
+        let u2 = g.conv_transpose2d(d1, up2.0, Some(up2.1), 2, 0);
+        let u2 = g.leaky_relu(u2, 0.01);
+        let cat2 = g.concat_chan(&[u2, e1]);
+        let d2 = g.conv2d(cat2, dec2.0, Some(dec2.1), 1, 1);
+        let d2 = g.leaky_relu(d2, 0.01);
+        // Linear regression head: a saturating activation (softplus)
+        // collapses to zero on sparse congestion labels and kills the
+        // gradients DCO needs; negative predictions are clamped at
+        // display time instead.
+        g.conv2d(d2, head.0, Some(head.1), 1, 0)
+    };
+    let c0 = decode(g, m0, e2_0, e1_0);
+    let c1 = decode(g, m1, e2_1, e1_1);
+    (c0, c1)
+}
+
 impl SiameseUNet {
     /// Create a model with Xavier-initialized weights.
     ///
@@ -117,12 +171,6 @@ impl SiameseUNet {
         &self.store
     }
 
-    fn bind_conv(&mut self, g: &mut Graph, name: &str) -> (Var, Var) {
-        let w = self.store.bind(g, &format!("{name}.w"));
-        let b = self.store.bind(g, &format!("{name}.b"));
-        (w, b)
-    }
-
     /// Record the forward pass on an existing graph; weights are bound as
     /// trainable parameters. Returns the two predicted congestion maps
     /// `[1, 1, H, W]` for (die0, die1).
@@ -131,58 +179,12 @@ impl SiameseUNet {
     /// encoder/decoder weights are shared exactly as in the paper, and
     /// gradients from both streams accumulate onto the single copy.
     pub fn forward(&mut self, g: &mut Graph, f0: Var, f1: Var) -> (Var, Var) {
-        let p_enc1 = self.bind_conv(g, "enc1");
-        let p_enc2 = self.bind_conv(g, "enc2");
-        let p_bott = self.bind_conv(g, "bott");
-        let p_comm = self.bind_conv(g, "comm");
-        let p_up1 = self.bind_conv(g, "up1");
-        let p_dec1 = self.bind_conv(g, "dec1");
-        let p_up2 = self.bind_conv(g, "up2");
-        let p_dec2 = self.bind_conv(g, "dec2");
-        let p_head = self.bind_conv(g, "head");
-
-        let encode = |g: &mut Graph, x: Var| {
-            let e1 = g.conv2d(x, p_enc1.0, Some(p_enc1.1), 1, 1);
-            let e1 = g.leaky_relu(e1, 0.01);
-            let d1 = g.maxpool2d(e1, 2);
-            let e2 = g.conv2d(d1, p_enc2.0, Some(p_enc2.1), 1, 1);
-            let e2 = g.leaky_relu(e2, 0.01);
-            let d2 = g.maxpool2d(e2, 2);
-            let b = g.conv2d(d2, p_bott.0, Some(p_bott.1), 1, 1);
-            let b = g.leaky_relu(b, 0.01);
-            (e1, e2, b)
-        };
-        let (e1_0, e2_0, b0) = encode(g, f0);
-        let (e1_1, e2_1, b1) = encode(g, f1);
-
-        // Inter-die communication: concat channels, pointwise conv, split.
-        let fb = self.cfg.base_channels * 4;
-        let cat = g.concat_chan(&[b0, b1]);
-        let mixed = g.conv2d(cat, p_comm.0, Some(p_comm.1), 1, 0);
-        let mixed = g.leaky_relu(mixed, 0.01);
-        let m0 = g.slice_chan(mixed, 0, fb);
-        let m1 = g.slice_chan(mixed, fb, fb);
-
-        let decode = |g: &mut Graph, b: Var, e2: Var, e1: Var| {
-            let u1 = g.conv_transpose2d(b, p_up1.0, Some(p_up1.1), 2, 0);
-            let u1 = g.leaky_relu(u1, 0.01);
-            let cat1 = g.concat_chan(&[u1, e2]);
-            let d1 = g.conv2d(cat1, p_dec1.0, Some(p_dec1.1), 1, 1);
-            let d1 = g.leaky_relu(d1, 0.01);
-            let u2 = g.conv_transpose2d(d1, p_up2.0, Some(p_up2.1), 2, 0);
-            let u2 = g.leaky_relu(u2, 0.01);
-            let cat2 = g.concat_chan(&[u2, e1]);
-            let d2 = g.conv2d(cat2, p_dec2.0, Some(p_dec2.1), 1, 1);
-            let d2 = g.leaky_relu(d2, 0.01);
-            // Linear regression head: a saturating activation (softplus)
-            // collapses to zero on sparse congestion labels and kills the
-            // gradients DCO needs; negative predictions are clamped at
-            // display time instead.
-            g.conv2d(d2, p_head.0, Some(p_head.1), 1, 0)
-        };
-        let c0 = decode(g, m0, e2_0, e1_0);
-        let c1 = decode(g, m1, e2_1, e1_1);
-        (c0, c1)
+        let store = &mut self.store;
+        let p = LAYERS.map(|n| {
+            let w = store.bind(g, &format!("{n}.w"));
+            (w, store.bind(g, &format!("{n}.b")))
+        });
+        wire(g, p, self.cfg.base_channels, f0, f1)
     }
 
     /// Record a forward pass with frozen weights: parameters enter the
@@ -191,54 +193,11 @@ impl SiameseUNet {
     /// trained predictor `SiaUNet*` inside Algorithm 2 (Eq. 5's
     /// `∂C_d/∂F_d` term).
     pub fn forward_frozen(&self, g: &mut Graph, x0: Var, x1: Var) -> (Var, Var) {
-        let c = |g: &mut Graph, s: &ParamStore, n: &str| -> (Var, Var) {
-            (
-                g.input(s.get(&format!("{n}.w")).clone()),
-                g.input(s.get(&format!("{n}.b")).clone()),
-            )
-        };
-        let p_enc1 = c(g, &self.store, "enc1");
-        let p_enc2 = c(g, &self.store, "enc2");
-        let p_bott = c(g, &self.store, "bott");
-        let p_comm = c(g, &self.store, "comm");
-        let p_up1 = c(g, &self.store, "up1");
-        let p_dec1 = c(g, &self.store, "dec1");
-        let p_up2 = c(g, &self.store, "up2");
-        let p_dec2 = c(g, &self.store, "dec2");
-        let p_head = c(g, &self.store, "head");
-        let encode = |g: &mut Graph, x: Var| {
-            let e1 = g.conv2d(x, p_enc1.0, Some(p_enc1.1), 1, 1);
-            let e1 = g.leaky_relu(e1, 0.01);
-            let d1 = g.maxpool2d(e1, 2);
-            let e2 = g.conv2d(d1, p_enc2.0, Some(p_enc2.1), 1, 1);
-            let e2 = g.leaky_relu(e2, 0.01);
-            let d2 = g.maxpool2d(e2, 2);
-            let b = g.conv2d(d2, p_bott.0, Some(p_bott.1), 1, 1);
-            let b = g.leaky_relu(b, 0.01);
-            (e1, e2, b)
-        };
-        let (e1_0, e2_0, b0) = encode(g, x0);
-        let (e1_1, e2_1, b1) = encode(g, x1);
-        let fb = self.cfg.base_channels * 4;
-        let cat = g.concat_chan(&[b0, b1]);
-        let mixed = g.conv2d(cat, p_comm.0, Some(p_comm.1), 1, 0);
-        let mixed = g.leaky_relu(mixed, 0.01);
-        let m0 = g.slice_chan(mixed, 0, fb);
-        let m1 = g.slice_chan(mixed, fb, fb);
-        let decode = |g: &mut Graph, b: Var, e2: Var, e1: Var| {
-            let u1 = g.conv_transpose2d(b, p_up1.0, Some(p_up1.1), 2, 0);
-            let u1 = g.leaky_relu(u1, 0.01);
-            let cat1 = g.concat_chan(&[u1, e2]);
-            let d1 = g.conv2d(cat1, p_dec1.0, Some(p_dec1.1), 1, 1);
-            let d1 = g.leaky_relu(d1, 0.01);
-            let u2 = g.conv_transpose2d(d1, p_up2.0, Some(p_up2.1), 2, 0);
-            let u2 = g.leaky_relu(u2, 0.01);
-            let cat2 = g.concat_chan(&[u2, e1]);
-            let d2 = g.conv2d(cat2, p_dec2.0, Some(p_dec2.1), 1, 1);
-            let d2 = g.leaky_relu(d2, 0.01);
-            g.conv2d(d2, p_head.0, Some(p_head.1), 1, 0)
-        };
-        (decode(g, m0, e2_0, e1_0), decode(g, m1, e2_1, e1_1))
+        let p = LAYERS.map(|n| {
+            let w = g.input(self.store.get(&format!("{n}.w")).clone());
+            (w, g.input(self.store.get(&format!("{n}.b")).clone()))
+        });
+        wire(g, p, self.cfg.base_channels, x0, x1)
     }
 
     /// Inference without gradient tracking.
