@@ -41,18 +41,19 @@
 //! ```
 
 use dco3d::{DcoConfig, DcoOptimizer, SmoothDensity, SoftRasterizer};
+use dco_features::{DieFeatures, FeatureExtractor, SoftAssignment};
 use dco_flow::{FlowConfig, FlowKind, FlowRunner, IncrementalEval, Predictor};
-use dco_gnn::{build_node_features, Gcn, GcnConfig};
+use dco_gnn::{build_adjacency, build_node_features, Gcn, GcnConfig};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::{Design, GcellGrid};
-use dco_place::{GlobalPlacer, PlacementParams};
+use dco_place::{fm_bipartition, legalize, GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
 use dco_tensor::conv::{
     bias_chan_backward, conv2d_backward_input, conv2d_backward_weight, conv2d_forward,
     conv2d_forward_reference, conv_transpose2d_forward,
 };
-use dco_tensor::{CustomOp, Tensor};
-use dco_timing::Sta;
+use dco_tensor::{CustomOp, Graph, Tensor};
+use dco_timing::{PowerAnalyzer, Sta};
 use dco_unet::{Normalization, SiameseUNet, TrainResult, UNetConfig};
 use serde_json::{json, Value};
 use std::rc::Rc;
@@ -700,6 +701,97 @@ fn main() {
                 let c = dco_parallel::checksum_f64(&t.pin_arrival);
                 dco_parallel::checksum_combine(c, t.wns_ps.to_bits())
             },
+        ));
+        // The remaining engines of the flow, each on the same design and
+        // placement: generation, FM tier partitioning, legalization, power,
+        // hard and soft (z = 0.5, the DCO hot path) feature extraction, and
+        // a GCN forward pass over the netlist graph.
+        entries.push(sweep(
+            "netlist_generate",
+            &threads,
+            reps,
+            || bench_design(scale),
+            |d| {
+                let pins: Vec<u8> = d
+                    .netlist
+                    .nets()
+                    .flat_map(|n| n.pins.iter().flat_map(|p| p.0.to_le_bytes()))
+                    .collect();
+                let c = checksum_placement(&d.placement);
+                dco_parallel::checksum_combine(c, dco_parallel::checksum_bytes(&pins))
+            },
+        ));
+        entries.push(sweep(
+            "fm_bipartition",
+            &threads,
+            reps,
+            || fm_bipartition(&design.netlist, placed.tiers(), 0.1, 2),
+            |tiers| {
+                let z: Vec<f64> = tiers.iter().map(|t| t.as_z()).collect();
+                dco_parallel::checksum_f64(&z)
+            },
+        ));
+        entries.push(sweep(
+            "legalize",
+            &threads,
+            reps,
+            || {
+                let mut p = placed.clone();
+                legalize(&design, &mut p, 5);
+                p
+            },
+            checksum_placement,
+        ));
+        let power = PowerAnalyzer::new(&design);
+        entries.push(sweep(
+            "power",
+            &threads,
+            reps,
+            || power.analyze(&placed, Some(&routed.net_lengths)),
+            |r| dco_parallel::checksum_f64(&[r.switching_mw, r.internal_mw, r.leakage_mw]),
+        ));
+        let fx = FeatureExtractor::new(design.floorplan.grid);
+        let checksum_features = |dies: &[DieFeatures; 2]| {
+            dies.iter().fold(0, |c, d| {
+                dco_parallel::checksum_combine(c, dco_parallel::checksum_f32(&d.stacked()))
+            })
+        };
+        entries.push(sweep(
+            "features_hard",
+            &threads,
+            reps,
+            || fx.extract(&design.netlist, &placed),
+            checksum_features,
+        ));
+        let soft = SoftAssignment {
+            x: placed.xs().to_vec(),
+            y: placed.ys().to_vec(),
+            z: vec![0.5; design.netlist.num_cells()],
+        };
+        entries.push(sweep(
+            "features_soft",
+            &threads,
+            reps,
+            || fx.extract_soft(&design.netlist, &soft),
+            checksum_features,
+        ));
+        let timing = sta.analyze(&placed, Some(&routed.net_lengths), Some(&routed.net_bonds));
+        let node_features = build_node_features(&design, &placed, &timing);
+        let adj = Rc::new(build_adjacency(&design, 48));
+        entries.push(sweep(
+            "gcn_forward",
+            &threads,
+            reps,
+            || {
+                // `forward` binds the weights into the tape, so each run
+                // takes a fresh (small) model.
+                let mut gcn = Gcn::new(GcnConfig::default(), 11);
+                let mut g = Graph::new();
+                let x = g.input(node_features.clone());
+                let out = gcn.forward(&mut g, Rc::clone(&adj), x);
+                g.value(out).clone()
+            },
+            |y| dco_parallel::checksum_f32(y.data()),
         ));
         if !quick {
             // One end-to-end flow (placement -> route -> STA under one roof);

@@ -199,6 +199,27 @@ pub struct Predictor {
 
 /// Train the DCO-3D congestion predictor for `design` (Sec. III).
 pub fn train_predictor(design: &Design, cfg: &FlowConfig, seed: u64) -> Predictor {
+    let train_cfg = TrainConfig {
+        epochs: cfg.train_epochs,
+        seed,
+        ..TrainConfig::default()
+    };
+    let (unet, train_result) = train_unet(design, cfg, seed, &train_cfg);
+    Predictor {
+        unet,
+        normalization: train_result.normalization.clone(),
+        train_result,
+    }
+}
+
+/// Build the training dataset for `design`, construct the Siamese UNet and
+/// train it under `train_cfg`.
+fn train_unet(
+    design: &Design,
+    cfg: &FlowConfig,
+    seed: u64,
+    train_cfg: &TrainConfig,
+) -> (SiameseUNet, TrainResult) {
     let dataset = build_dataset(
         design,
         cfg.train_layouts,
@@ -214,17 +235,8 @@ pub fn train_predictor(design: &Design, cfg: &FlowConfig, seed: u64) -> Predicto
         },
         seed,
     );
-    let train_cfg = TrainConfig {
-        epochs: cfg.train_epochs,
-        seed,
-        ..TrainConfig::default()
-    };
-    let train_result = train(&mut unet, &dataset, &train_cfg);
-    Predictor {
-        unet,
-        normalization: train_result.normalization.clone(),
-        train_result,
-    }
+    let train_result = train(&mut unet, &dataset, train_cfg);
+    (unet, train_result)
 }
 
 /// Map a predictor-bundle persistence failure into the flow error taxonomy.
@@ -316,25 +328,7 @@ pub fn train_predictor_resilient(
     if let Some(epoch) = injector.train_nan_epoch() {
         train_cfg.inject_nan_loss_at = Some(epoch);
     }
-    let body = || {
-        let dataset = build_dataset(
-            design,
-            cfg.train_layouts,
-            cfg.map_size,
-            &cfg.stage_router,
-            seed,
-        );
-        let mut unet = SiameseUNet::new(
-            UNetConfig {
-                in_channels: 7,
-                base_channels: cfg.unet_channels,
-                size: cfg.map_size,
-            },
-            seed,
-        );
-        let train_result = train(&mut unet, &dataset, &train_cfg);
-        (unet, train_result)
-    };
+    let body = || train_unet(design, cfg, seed, &train_cfg);
     let (unet, train_result) =
         execute_stage_body(Stage::Train, &injector, opts, &mut report, &body)?;
     dco_obs::report::record_stage_rss(Stage::Train.name());

@@ -25,10 +25,8 @@
 //! That is the right trade for the interactive ECO loop this engine
 //! serves; the full [`Router`] remains the label generator.
 
-use crate::report::OverflowReport;
 use crate::router::{RouteResult, RouteState, Router, RouterConfig, Step};
 use crate::topology::decompose_net;
-use dco_features::GridMap;
 use dco_incremental::DeltaSet;
 use dco_netlist::{Design, NetId, Placement3};
 
@@ -178,9 +176,7 @@ impl<'a> IncrementalRouter<'a> {
     /// wirelength sum), never carried incrementally, so a result after N
     /// applies is bitwise the result after one fresh `full`.
     fn result(&self) -> RouteResult {
-        let g = self.design.floorplan.grid;
         let netlist = &self.design.netlist;
-        let (h_cap, v_cap, bond_cap) = (self.router.h_cap, self.router.v_cap, self.router.bond_cap);
         let mut net_lengths = vec![0.0f64; netlist.num_nets()];
         let mut net_bonds = vec![0u32; netlist.num_nets()];
         let mut wirelength = 0.0f64;
@@ -191,40 +187,16 @@ impl<'a> IncrementalRouter<'a> {
             wirelength += nr.length;
             bond_count += nr.crossings as usize;
         }
-        let mut congestion = [GridMap::zeros(g.nx, g.ny), GridMap::zeros(g.nx, g.ny)];
-        let mut utilization = [GridMap::zeros(g.nx, g.ny), GridMap::zeros(g.nx, g.ny)];
-        for die in 0..2 {
-            for i in 0..g.len() {
-                let hu = self.state.h[die].data()[i];
-                let vu = self.state.v[die].data()[i];
-                congestion[die].data_mut()[i] = (hu - h_cap).max(0.0) + (vu - v_cap).max(0.0);
-                utilization[die].data_mut()[i] = 0.5 * (hu / h_cap + vu / v_cap);
-            }
-        }
-        let mut report = OverflowReport::from_usage(&self.state.h, &self.state.v, h_cap, v_cap);
-        report.rrr_iterations = 0;
-        report.converged = report.total == 0.0;
-        report.initial_total = report.total;
-        let bond_overflow: f64 = self
-            .state
-            .bonds
-            .data()
-            .iter()
-            .map(|&u| f64::from((u - bond_cap).max(0.0)))
-            .sum();
-        RouteResult {
-            h_usage: self.state.h.clone(),
-            v_usage: self.state.v.clone(),
-            congestion,
-            utilization,
-            report,
+        let mut result = self.router.result_from(
+            self.state.clone(),
             wirelength,
             bond_count,
             net_lengths,
             net_bonds,
-            bond_usage: self.state.bonds.clone(),
-            bond_overflow,
-        }
+        );
+        // A pattern-only route has converged iff nothing overflows.
+        result.report.converged = result.report.total == 0.0;
+        result
     }
 }
 

@@ -116,11 +116,11 @@ pub struct RouteResult {
 pub struct Router<'a> {
     design: &'a Design,
     cfg: RouterConfig,
-    pub(crate) grid: GcellGrid,
-    pub(crate) h_cap: f32,
-    pub(crate) v_cap: f32,
+    grid: GcellGrid,
+    h_cap: f32,
+    v_cap: f32,
     /// Hybrid-bond sites per GCell: `gcell_area / bond_pitch^2`.
-    pub(crate) bond_cap: f32,
+    bond_cap: f32,
 }
 
 impl<'a> Router<'a> {
@@ -341,6 +341,30 @@ impl<'a> Router<'a> {
                 net_bonds[seg.net.index()] += 1;
             }
         }
+        let converged = !self.cfg.stall_rrr && !state.any_overflow(self.h_cap, self.v_cap);
+        let mut result = self.result_from(state, wirelength, bond_count, net_lengths, net_bonds);
+        result.report.rrr_iterations = rrr_iterations;
+        result.report.converged = converged;
+        result.report.initial_total = initial_total;
+        dco_obs::gauge_set("route.overflow_total", result.report.total);
+        result
+    }
+
+    /// Assemble a [`RouteResult`] from final usage grids and the caller's
+    /// per-net totals: the congestion and utilization maps, the overflow
+    /// report and the bond overflow all derive from `state`. The report
+    /// keeps [`OverflowReport::from_usage`]'s run fields (0 iterations,
+    /// converged, `initial_total == total`); callers overwrite what their
+    /// run did differently.
+    pub(crate) fn result_from(
+        &self,
+        state: RouteState,
+        wirelength: f64,
+        bond_count: usize,
+        net_lengths: Vec<f64>,
+        net_bonds: Vec<u32>,
+    ) -> RouteResult {
+        let g = self.grid;
         let mut congestion = [GridMap::zeros(g.nx, g.ny), GridMap::zeros(g.nx, g.ny)];
         let mut utilization = [GridMap::zeros(g.nx, g.ny), GridMap::zeros(g.nx, g.ny)];
         for die in 0..2 {
@@ -352,11 +376,7 @@ impl<'a> Router<'a> {
                 utilization[die].data_mut()[i] = 0.5 * (hu / self.h_cap + vu / self.v_cap);
             }
         }
-        let mut report = OverflowReport::from_usage(&state.h, &state.v, self.h_cap, self.v_cap);
-        report.rrr_iterations = rrr_iterations;
-        report.converged = !self.cfg.stall_rrr && !state.any_overflow(self.h_cap, self.v_cap);
-        report.initial_total = initial_total;
-        dco_obs::gauge_set("route.overflow_total", report.total);
+        let report = OverflowReport::from_usage(&state.h, &state.v, self.h_cap, self.v_cap);
         let bond_overflow: f64 = state
             .bonds
             .data()

@@ -10,6 +10,7 @@
 //! moves and more power — exactly the effect Table III's end-of-flow
 //! columns capture.
 
+use crate::incremental::IncrementalSta;
 use crate::{Sta, TimingReport};
 use dco_netlist::{Design, Placement3};
 
@@ -61,6 +62,10 @@ pub struct EcoReport {
 }
 
 /// Run the timing ECO on a routed design.
+///
+/// Analyses use `sta`'s margins. The pin graph depends only on the
+/// netlist, so one engine is built and re-run from scratch for each
+/// sizing round.
 pub fn run_timing_eco(
     design: &Design,
     placement: &Placement3,
@@ -72,7 +77,10 @@ pub fn run_timing_eco(
     let netlist = &design.netlist;
     let n = netlist.num_cells();
     let mut scale = vec![1.0f64; n];
-    let before = sta.analyze_with_drive_scale(placement, net_lengths, net_bonds, Some(&scale));
+    let lengths = net_lengths.unwrap_or_default();
+    let bonds = net_bonds.unwrap_or_default();
+    let mut engine = IncrementalSta::for_sta(sta);
+    let before = engine.full(placement, lengths, bonds);
     let mut current = before.clone();
     let mut total_upsizes = 0usize;
     let mut rounds = 0usize;
@@ -98,7 +106,8 @@ pub fn run_timing_eco(
             break;
         }
         total_upsizes += changed;
-        let next = sta.analyze_with_drive_scale(placement, net_lengths, net_bonds, Some(&scale));
+        engine.set_drive_scale(&scale);
+        let next = engine.full(placement, lengths, bonds);
         // Stop when sizing stops helping (loads dominate, not drive).
         if next.tns_ps <= current.tns_ps {
             current = next;

@@ -1,37 +1,52 @@
-//! Event-driven incremental STA: re-propagate only the downstream cones of
-//! changed arrival / required times with a levelized worklist.
+//! The static-timing engine behind every analysis in this crate.
 //!
-//! # Equivalence contract
+//! [`Sta::analyze`] builds an engine and runs its from-scratch pass;
+//! [`IncrementalSta`] keeps one engine warm across placements, and the
+//! timing ECO keeps one across sizing rounds.
 //!
-//! The engine freezes the pin graph (edges, topological levels, cycle
-//! breaks) once — it depends only on the netlist, never the placement —
-//! and keeps the per-pin `arrival` / `min_arrival` / `slew` arrays live
-//! between calls. An apply re-derives the electricals of the changed nets,
-//! seeds the pins whose incoming arc delays changed, and pulls dirty pins
-//! level by level; propagation stops wherever a recomputed value is
-//! bitwise unchanged.
+//! # Contract
 //!
-//! The pull rule replicates [`Sta::analyze`] exactly: a predecessor at a
-//! *strictly lower* level contributes its live value, while a same-or-
-//! higher-level predecessor (only possible across a broken combinational
-//! cycle) contributes the constant initial values `(0.0, +inf, 5.0)` —
-//! in the full analysis every pin is written exactly once, at its own
-//! level, so a cycle predecessor is always read in its initial state.
-//! Because those initial values are placement-independent constants, the
-//! frozen-graph engine reads the same numbers the full analysis does, and
-//! `full` / any chain of `apply`s land on bitwise-identical reports
-//! (pinned against [`Sta::analyze`] by the differential harness).
+//! - **The graph is frozen.** Edges (net arcs in net-id order, then cell
+//!   arcs in cell-id order), topological levels and cycle breaks depend
+//!   only on the netlist and are built once per engine. Kahn's algorithm
+//!   levels the pins; when the frontier drains with pins left, a
+//!   combinational cycle is broken by forcing the lowest-id stuck pin into
+//!   the next level. Between calls the engine keeps the per-pin `arrival`
+//!   / `min_arrival` / `slew` / `worst_pred` arrays live.
+//! - **A cycle predecessor reads the constant initial values.** A pin pulls
+//!   the live values of its predecessors at a *strictly lower* level. A
+//!   same-or-higher-level predecessor, which only a broken cycle produces,
+//!   contributes the initial values `(0.0, +inf, 5.0)` instead. They are
+//!   placement-independent constants, so the value a pin pulls never
+//!   depends on which pass wrote its predecessors last.
+//! - **Propagation stops where a recomputed value is bitwise unchanged.**
+//!   The from-scratch pass pulls every pin once, level by level. An apply
+//!   re-derives the electricals of the changed nets, seeds the pins whose
+//!   incoming arc delays changed, and pulls dirty pins level by level; a
+//!   pin's successors become dirty only when its values changed. Because
+//!   every pull is a pure function of final lower-level values, `full` and
+//!   any chain of `apply`s land on bitwise-identical reports.
+//!
+//! # Threading model
+//!
+//! The dirty pins of one level pull from earlier levels only, so they are
+//! independent: a level of at least [`STA_LEVEL_PAR_MIN`] pins fans out
+//! over `dco_parallel`, and results are written back in pin order before
+//! the next level starts. Each pin folds its predecessor list in a fixed
+//! order, so the analysis is bitwise identical at any thread count.
 
 use crate::sta::{Sta, TimingReport};
 use dco_incremental::DeltaSet;
-use dco_netlist::{CellClass, Design, NetId, PinDirection, PinId, Placement3};
+use dco_netlist::{CellClass, CellId, Design, NetId, PinDirection, PinId, Placement3};
 
-/// Mirrors `sta::STA_LEVEL_PAR_MIN`: dirty sets below this size are pulled
-/// inline. Chooses only *whether* to fan out, never output bits.
-const LEVEL_PAR_MIN: usize = 64;
+/// Dirty pins below this count in a topological level are pulled inline —
+/// fan-out overhead would dominate the work on small levels. A fixed
+/// constant (not thread-count-derived); it only chooses *whether* to fan
+/// out, never how results are ordered, so it cannot affect output bits.
+pub(crate) const STA_LEVEL_PAR_MIN: usize = 64;
 
 /// Initial (pre-propagation) per-pin values for pins with predecessors;
-/// these are what a broken cycle edge reads from a not-yet-written pin.
+/// a pin reads these across a broken cycle edge.
 const INIT_ARRIVAL: f64 = 0.0;
 const INIT_SLEW: f64 = 5.0;
 
@@ -50,17 +65,20 @@ enum EdgeKind {
     /// Driver → sink wire arc of a net: delay = `net_wire_delay[net]`.
     Net(u32),
     /// Input → output arc through a cell: delay =
-    /// `intrinsic + drive_res * net_load[out_net]`.
+    /// `intrinsic + drive[cell] * net_load[out_net]`.
     Cell { cell: u32, out_net: u32 },
 }
 
-/// Event-driven incremental static timing analyzer.
+/// The STA engine: a frozen pin graph plus the live per-pin state that
+/// [`IncrementalSta::apply`] re-propagates event by event.
 #[derive(Debug)]
 pub struct IncrementalSta<'a> {
     design: &'a Design,
     setup_ps: f64,
     hold_ps: f64,
     fast_corner: f64,
+    /// Effective drive resistance per cell: `drive_res * scale`.
+    drive: Vec<f64>,
     // --- frozen topology (netlist-only) ---------------------------------
     succ: Vec<Vec<(u32, EdgeKind)>>,
     pred: Vec<Vec<(u32, EdgeKind)>>,
@@ -85,13 +103,21 @@ impl<'a> IncrementalSta<'a> {
     /// Build the frozen pin graph for `design` with [`Sta::new`]'s default
     /// margins (5 ps setup, 2 ps hold, 0.5x fast corner).
     pub fn new(design: &'a Design) -> Self {
-        let base = Sta::new(design);
+        Self::for_sta(&Sta::new(design))
+    }
+
+    /// Build the frozen pin graph for `sta`'s design, with `sta`'s margins
+    /// and every cell at its unscaled drive resistance.
+    pub(crate) fn for_sta(sta: &Sta<'a>) -> Self {
+        let design = sta.design;
         let netlist = &design.netlist;
         let n_pins = netlist.num_pins();
 
-        // Edge construction replicates `Sta::analyze` exactly: net arcs in
-        // net-id order, then cell arcs in cell-id order, so predecessor
-        // lists fold in the same order and f64 results match bitwise.
+        // Pin graph: a wire arc from each signal net's driver to every
+        // sink (the clock is ideal), then an arc from every input to every
+        // output of each combinational cell or macro (sequential and IO
+        // cells cut timing paths). This order fixes each pin's
+        // predecessor fold.
         let mut succ: Vec<Vec<(u32, EdgeKind)>> = vec![Vec::new(); n_pins];
         let mut indeg = vec![0u32; n_pins];
         for net_id in netlist.net_ids() {
@@ -134,7 +160,10 @@ impl<'a> IncrementalSta<'a> {
             }
         }
 
-        // Kahn levelization with the same lowest-id cycle break.
+        // Kahn levelization: a pin's level is ready once all its
+        // predecessors are placed; a drained frontier with pins remaining
+        // means a combinational cycle, broken by forcing the lowest-id
+        // stuck pin.
         let mut levels: Vec<Vec<u32>> = Vec::new();
         let mut queued = vec![false; n_pins];
         let mut frontier: Vec<u32> = (0..n_pins as u32)
@@ -187,8 +216,7 @@ impl<'a> IncrementalSta<'a> {
             }
         }
 
-        // Topology-constant sink capacitance per net, folded in pin order
-        // exactly like `analyze`.
+        // Topology-constant sink capacitance per net, folded in pin order.
         let c_sinks: Vec<f64> = netlist
             .net_ids()
             .map(|net_id| {
@@ -223,9 +251,10 @@ impl<'a> IncrementalSta<'a> {
         let n_nets = netlist.num_nets();
         Self {
             design,
-            setup_ps: base.setup_ps,
-            hold_ps: base.hold_ps,
-            fast_corner: base.fast_corner,
+            setup_ps: sta.setup_ps,
+            hold_ps: sta.hold_ps,
+            fast_corner: sta.fast_corner,
+            drive: netlist.cells().map(|c| c.drive_res).collect(),
             succ,
             pred,
             levels,
@@ -243,9 +272,22 @@ impl<'a> IncrementalSta<'a> {
         }
     }
 
-    /// Analyze `placement` from scratch, replacing all cached state. The
-    /// result is bitwise-identical to
-    /// `Sta::new(design).analyze(placement, Some(net_lengths), Some(net_bonds))`.
+    /// Scale each cell's drive resistance: cell `i` drives with
+    /// `drive_res * scale[i]` (values < 1.0 model upsized drivers). Takes
+    /// effect at the next [`IncrementalSta::full`].
+    pub(crate) fn set_drive_scale(&mut self, scale: &[f64]) {
+        let netlist = &self.design.netlist;
+        for id in netlist.cell_ids() {
+            self.drive[id.index()] = netlist.cell(id).drive_res * scale[id.index()];
+        }
+    }
+
+    /// Analyze `placement` from scratch, replacing all cached state.
+    ///
+    /// A net routes `net_lengths[net]` microns, or its HPWL when that entry
+    /// is missing or not positive; it crosses `net_bonds[net]` hybrid bonds,
+    /// or none when that entry is missing. Empty slices therefore give the
+    /// pre-route analysis.
     pub fn full(
         &mut self,
         placement: &Placement3,
@@ -349,8 +391,9 @@ impl<'a> IncrementalSta<'a> {
         self.last_stats
     }
 
-    /// Electricals of one net, replicating `Sta::analyze` bitwise (with
-    /// `drive_scale = None`, `Some(net_lengths)`, `Some(net_bonds)`).
+    /// Load (fF) and lumped-Elmore wire delay plus bond delay (ps) of one
+    /// net, with the length and bond fallbacks documented on
+    /// [`IncrementalSta::full`].
     fn net_electricals(
         &self,
         net_id: NetId,
@@ -375,16 +418,14 @@ impl<'a> IncrementalSta<'a> {
         (load, wd)
     }
 
-    /// Delay of one arc from the live electrical state. `drive * 1.0`
-    /// (the unscaled path of `analyze`) is an exact f64 identity, so the
-    /// plain product matches.
+    /// Delay of one arc from the live electrical state.
     #[inline]
     fn edge_delay(&self, kind: EdgeKind) -> f64 {
         match kind {
             EdgeKind::Net(n) => self.net_wire_delay[n as usize],
             EdgeKind::Cell { cell, out_net } => {
-                let c = self.design.netlist.cell(dco_netlist::CellId(cell));
-                c.intrinsic_delay + c.drive_res * self.net_load[out_net as usize]
+                let c = self.design.netlist.cell(CellId(cell));
+                c.intrinsic_delay + self.drive[cell as usize] * self.net_load[out_net as usize]
             }
         }
     }
@@ -395,7 +436,7 @@ impl<'a> IncrementalSta<'a> {
         let pin = netlist.pin(PinId(p));
         let cell = netlist.cell(pin.cell);
         let load = self.net_load[pin.net.index()];
-        let r = cell.drive_res;
+        let r = self.drive[pin.cell.index()];
         let a = cell.intrinsic_delay + r * load;
         let ma = self.fast_corner * a;
         let sl = 2.2 * r * load;
@@ -422,6 +463,8 @@ impl<'a> IncrementalSta<'a> {
     }
 
     /// Levelized worklist propagation; returns the number of pins pulled.
+    /// A dirty pin re-folds its predecessor list; its strictly-higher-level
+    /// successors become dirty only if a value changed bitwise.
     fn propagate(&mut self, dirty: &mut [bool]) -> usize {
         let fc = self.fast_corner;
         let mut cone = 0usize;
@@ -435,7 +478,7 @@ impl<'a> IncrementalSta<'a> {
                 continue;
             }
             cone += todo.len();
-            // hot-path: sta-incremental-pull
+            // hot-path: sta-pull
             let pull = |&p: &u32| {
                 let pi = p as usize;
                 let lp = self.level_of[pi];
@@ -466,7 +509,7 @@ impl<'a> IncrementalSta<'a> {
                 (a, ma, sl, wp)
             };
             // hot-path: end
-            let updates: Vec<(f64, f64, f64, u32)> = if todo.len() >= LEVEL_PAR_MIN {
+            let updates: Vec<(f64, f64, f64, u32)> = if todo.len() >= STA_LEVEL_PAR_MIN {
                 dco_parallel::par_map(&todo, |_, p| pull(p))
             } else {
                 todo.iter().map(pull).collect()
@@ -489,8 +532,9 @@ impl<'a> IncrementalSta<'a> {
         cone
     }
 
-    /// Fold the live per-pin state into a [`TimingReport`], replicating the
-    /// endpoint / slack / slew aggregation of `Sta::analyze` verbatim.
+    /// Fold the live per-pin state into a [`TimingReport`]: setup and hold
+    /// slack at the endpoints (sequential and IO inputs), per-cell worst
+    /// slew, and per-cell worst slack.
     fn report(&self) -> TimingReport {
         let netlist = &self.design.netlist;
         let n_pins = netlist.num_pins();
@@ -610,27 +654,6 @@ mod tests {
                 .iter()
                 .zip(&b.cell_input_slew)
                 .all(|(x, y)| f(*x) == f(*y))
-    }
-
-    #[test]
-    fn engine_full_matches_sta_analyze_bitwise() {
-        let d = design();
-        let mut rt = IncrementalRouter::new(&d, RouterConfig::default());
-        let routed = rt.full(&d.placement);
-        let mut eng = IncrementalSta::new(&d);
-        let a = eng.full(&d.placement, &routed.net_lengths, &routed.net_bonds);
-        let b = Sta::new(&d).analyze(
-            &d.placement,
-            Some(&routed.net_lengths),
-            Some(&routed.net_bonds),
-        );
-        assert!(
-            reports_bitwise_equal(&a, &b),
-            "{} vs {}",
-            a.wns_ps,
-            b.wns_ps
-        );
-        assert_eq!(a.broken_cycle_edges, b.broken_cycle_edges);
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! Table-III columns `setup wns`, `setup tns`, and `total power` come from
 //! here, computed identically for every flow so comparisons are fair.
 //!
-//! - [`Sta`]: topological setup analysis over the pin graph with a linear
-//!   cell-delay model, lumped-Elmore wire delays from routed lengths, and
-//!   hybrid-bond crossing delays,
+//! - [`Sta`]: topological setup and hold analysis over the pin graph with a
+//!   linear cell-delay model, lumped-Elmore wire delays from routed
+//!   lengths, and hybrid-bond crossing delays,
+//! - [`IncrementalSta`]: the one STA engine. It freezes the pin graph, and
+//!   every analysis runs its from-scratch pass; kept warm, it re-propagates
+//!   only the cones a placement delta changed,
+//! - [`run_timing_eco`]: post-route gate upsizing on violating paths, one
+//!   engine re-run per sizing round,
 //! - [`PowerAnalyzer`]: switching + internal + leakage power,
 //! - [`synthesize_clock_tree`]: CTS-lite wirelength/skew estimate,
 //! - the [`TimingReport`] also exposes the per-cell slack/slew features the
@@ -40,4 +45,4 @@ pub use cts::{synthesize_clock_tree, ClockTreeReport};
 pub use eco::{run_timing_eco, EcoConfig, EcoReport};
 pub use incremental::{IncrStaStats, IncrementalSta};
 pub use power::{PowerAnalyzer, PowerReport};
-pub use sta::{analyze_preroute, raw_wns, worst_paths, PathPoint, Sta, TimingReport};
+pub use sta::{raw_wns, PathPoint, Sta, TimingReport};
