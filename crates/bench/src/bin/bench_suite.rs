@@ -54,7 +54,7 @@ use dco_tensor::conv::{
 };
 use dco_tensor::{CustomOp, Graph, Tensor};
 use dco_timing::{PowerAnalyzer, Sta};
-use dco_unet::{Normalization, SiameseUNet, TrainResult, UNetConfig};
+use dco_unet::{Normalization, SiameseUNet, UNetConfig};
 use serde_json::{json, Value};
 use std::rc::Rc;
 use std::time::Instant;
@@ -567,18 +567,7 @@ fn main() {
         // two placements so every timed call really re-evaluates a 1%
         // delta (re-evaluating the current placement would be a no-op).
         dco_parallel::set_threads(1);
-        let predictor = Predictor {
-            unet,
-            normalization: norm.clone(),
-            train_result: TrainResult {
-                train_loss: Vec::new(),
-                test_loss: Vec::new(),
-                test_metrics: Vec::new(),
-                normalization: norm,
-                divergence_events: 0,
-                degraded: false,
-            },
-        };
+        let predictor = Predictor::from_weights(unet, norm);
         let incr_design = bench_design(0.03);
         let incr_placed = GlobalPlacer::new(&incr_design).place(&params, 11);
         let moved = incremental_delta(&incr_design, &incr_placed);

@@ -4,20 +4,21 @@
 //!    flexibility in the z-direction effectively resolves congestion
 //!    hotspots that are unsolvable in traditional 2D layouts"),
 //! 2. **cutsize weight γ sweep** — inter-die cut vs overflow trade-off,
-//! 3. **communication layer on/off** — inter-die information exchange in
-//!    the Siamese UNet,
-//! 4. **loss-term ablation** — congestion-only vs the full multi-objective.
+//! 3. **loss-term ablation** — congestion-only vs the full multi-objective,
+//! 4. **GNN vs per-cell spreader** — the parameterization of Sec. IV-A,
+//! 5. **communication layer on/off** — inter-die information exchange in
+//!    the Siamese UNet.
 //!
 //! ```sh
 //! cargo run --release -p dco-bench --bin repro_ablation [-- <scale>]
 //! ```
 
-use dco3d::{DcoConfig, DcoOptimizer, DirectOptimizer};
-use dco_flow::{train_predictor, FlowConfig};
+use dco3d::{DcoConfig, DcoOptimizer};
+use dco_flow::{train_predictor, FlowConfig, FlowKind, FlowRunner};
 use dco_gnn::{build_node_features, Gcn, GcnConfig};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
-use dco_place::{detailed_place, legalize, GlobalPlacer, PlacementParams};
-use dco_route::{Router, RouterConfig};
+use dco_netlist::Placement3;
+use dco_route::Router;
 use dco_timing::Sta;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,27 +38,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let predictor = train_predictor(&design, &cfg, seed);
 
-    let params = PlacementParams::pin3d_baseline();
+    let runner = FlowRunner::new(&design, cfg.clone());
     // DCO consumes the *global* placement (pre-legalization), exactly as in
-    // the flow; baselines and results are finished identically
-    // (legalize + detailed place) before routing.
-    let base_gp = GlobalPlacer::new(&design).place(&params, seed);
-    let finish = |p: &dco_netlist::Placement3| -> dco_netlist::Placement3 {
-        let mut q = p.clone();
-        legalize(&design, &mut q, params.displacement_threshold);
-        detailed_place(&design, &mut q, 4, 2);
-        q
-    };
-    let base = finish(&base_gp);
+    // the flow; baselines and results are finished identically by the
+    // flow's tier-assign stage (legalize + detailed place) before routing.
+    let place = runner.stage_place(FlowKind::Pin3d, seed);
+    let finish = |p: &Placement3| runner.stage_tier_assign(p, &place.params).placement;
+    let base = finish(&place.placement);
     // Pattern-only estimate, matching the placement-stage metric of Table III.
-    let router = Router::new(
-        &design,
-        RouterConfig {
-            rrr_iterations: 2,
-            maze_margin: 0,
-            ..RouterConfig::default()
-        },
-    );
+    let router = Router::new(&design, cfg.stage_router.clone());
     let baseline = router.route(&base);
     println!(
         "baseline (Pin3D): overflow {:.0}, cut {}",
@@ -65,23 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         base.cut_size(&design.netlist)
     );
 
-    // Mirror the real flow's DCO invocation: Table-II features from a
+    // Ablations 1-3 run the flow's own DCO stage: Table-II features from a
     // post-route timing probe, plus criticality-weighted displacement.
     let run_dco = |dco_cfg: DcoConfig| {
-        let probe = router.route(&base_gp);
-        let timing =
-            Sta::new(&design).analyze(&base_gp, Some(&probe.net_lengths), Some(&probe.net_bonds));
-        let features = build_node_features(&design, &base_gp, &timing);
-        let mut dco = DcoOptimizer::new(
-            &design,
-            &predictor.unet,
-            &predictor.normalization,
-            features,
-            Gcn::new(GcnConfig::default(), seed),
-            dco_cfg,
-        );
-        dco.set_timing_criticality(&timing.cell_slack, 10.0);
-        let placed = finish(&dco.run(&base_gp).placement);
+        let spread = runner.stage_dco_with(&predictor, &place, seed, dco_cfg);
+        let placed = finish(&spread.placement);
         let routed = router.route(&placed);
         (
             routed.report.total,
@@ -142,57 +119,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- ablation 4: GNN spreader vs per-cell direct coordinates ---");
     // The paper's Sec. IV-A design argument: a shared-weight GNN scales to
     // large netlists where independent per-cell parameters do not, and its
-    // connectivity-aware updates converge more stably.
+    // connectivity-aware updates converge more stably. Both spreaders run
+    // the bare optimizer on the same features, without the flow's timing
+    // anchor.
     {
-        let probe = router.route(&base_gp);
-        let timing =
-            Sta::new(&design).analyze(&base_gp, Some(&probe.net_lengths), Some(&probe.net_bonds));
-        let features = build_node_features(&design, &base_gp, &timing);
+        let probe = router.route(&place.placement);
+        let timing = Sta::new(&design).analyze(
+            &place.placement,
+            Some(&probe.net_lengths),
+            Some(&probe.net_bonds),
+        );
+        let features = build_node_features(&design, &place.placement, &timing);
+        let (unet, norm) = (&predictor.unet, &predictor.normalization);
         let gcn = Gcn::new(GcnConfig::default(), seed);
-        let gnn_params = {
-            let mut probe = Gcn::new(GcnConfig::default(), seed);
-            probe.store_mut().num_scalars()
-        };
-        let mut gnn_dco = DcoOptimizer::new(
-            &design,
-            &predictor.unet,
-            &predictor.normalization,
-            features,
-            gcn,
-            DcoConfig::default(),
-        );
-        let gnn_result = gnn_dco.run(&base_gp);
-        let mut direct = DirectOptimizer::new(
-            &design,
-            &predictor.unet,
-            &predictor.normalization,
-            DcoConfig::default(),
-            seed,
-        );
-        let direct_params = direct.num_parameters();
-        let direct_result = direct.run(&base_gp);
-        let route_of =
-            |placement: &dco_netlist::Placement3| router.route(&finish(placement)).report.total;
-        println!(
-            "  GNN spreader   : {:>8} params, final loss {:.4}, overflow {:>8.0}",
-            gnn_params,
-            gnn_result
-                .history
-                .last()
-                .map(|l| l.total)
-                .unwrap_or(f32::NAN),
-            route_of(&gnn_result.placement)
-        );
-        println!(
-            "  direct per-cell: {:>8} params, final loss {:.4}, overflow {:>8.0}",
-            direct_params,
-            direct_result
-                .history
-                .last()
-                .map(|l| l.total)
-                .unwrap_or(f32::NAN),
-            route_of(&direct_result.placement)
-        );
+        let spreaders = [
+            (
+                "GNN spreader   ",
+                DcoOptimizer::new(&design, unet, norm, features, gcn, DcoConfig::default()),
+            ),
+            (
+                "direct per-cell",
+                DcoOptimizer::direct(&design, unet, norm, DcoConfig::default(), seed),
+            ),
+        ];
+        for (label, mut dco) in spreaders {
+            let params = dco.num_parameters();
+            let result = dco.run(&place.placement);
+            println!(
+                "  {label}: {params:>8} params, final loss {:.4}, overflow {:>8.0}",
+                result.history.last().map_or(f32::NAN, |l| l.total),
+                router.route(&finish(&result.placement)).report.total
+            );
+        }
     }
 
     println!("\n--- ablation 5: Siamese communication layer ---");

@@ -61,18 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 eprintln!("[{}] loaded cached predictor from {cache}", profile.name());
                 // training curves are not cached; re-running repro_fig5
                 // regenerates them
-                Predictor {
-                    unet,
-                    normalization: normalization.clone(),
-                    train_result: dco_unet::TrainResult {
-                        train_loss: Vec::new(),
-                        test_loss: Vec::new(),
-                        test_metrics: Vec::new(),
-                        normalization,
-                        divergence_events: 0,
-                        degraded: false,
-                    },
-                }
+                Predictor::from_weights(unet, normalization)
             }
             Err(_) => {
                 let p = train_predictor(&design, &cfg, seed);

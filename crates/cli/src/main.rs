@@ -45,7 +45,7 @@ use dco_netlist::Design;
 use dco_place::{legalize, GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
 use dco_timing::{synthesize_clock_tree, PowerAnalyzer, Sta};
-use dco_unet::{load_predictor, save_predictor, TrainResult};
+use dco_unet::{load_predictor, save_predictor};
 use std::path::{Path, PathBuf};
 
 fn main() {
@@ -480,18 +480,7 @@ fn warm_state(args: &Args) -> Result<WarmState, CliError> {
     let cfg = flow_config(args);
     let predictor = if let Some(path) = args.options.get("predictor") {
         let (unet, normalization) = load_predictor(path)?;
-        Predictor {
-            unet,
-            normalization: normalization.clone(),
-            train_result: TrainResult {
-                train_loss: Vec::new(),
-                test_loss: Vec::new(),
-                test_metrics: Vec::new(),
-                normalization,
-                divergence_events: 0,
-                degraded: false,
-            },
-        }
+        Predictor::from_weights(unet, normalization)
     } else {
         eprintln!("training predictor ...");
         train_predictor(&design, &cfg, seed)
@@ -751,18 +740,7 @@ fn cmd_flow(args: &Args) -> CliResult {
         None
     } else if let Some(path) = args.options.get("predictor") {
         let (unet, normalization) = load_predictor(path)?;
-        Some(Predictor {
-            unet,
-            normalization: normalization.clone(),
-            train_result: TrainResult {
-                train_loss: Vec::new(),
-                test_loss: Vec::new(),
-                test_metrics: Vec::new(),
-                normalization,
-                divergence_events: 0,
-                degraded: false,
-            },
-        })
+        Some(Predictor::from_weights(unet, normalization))
     } else {
         eprintln!("training predictor ...");
         let (p, report) =

@@ -15,10 +15,12 @@
 //!   Kronecker deltas to the extreme-pin cells),
 //! - [`SmoothDensity`]: the bell-shaped density potential of Eq. 8-10,
 //! - loss terms: [`congestion_loss`] (Eq. 4 on predictions),
-//!   [`CutsizeLoss`] (Eq. 7), [`overlap_loss`], [`displacement_loss`]
-//!   (Eq. 11),
-//! - [`DcoOptimizer`]: the gradient loop of Algorithm 2, driving a
-//!   [`dco_gnn::Gcn`] spreader against a frozen [`dco_unet::SiameseUNet`],
+//!   [`CutsizeLoss`] (Eq. 7), [`overlap_loss`],
+//!   [`weighted_displacement_loss`] (Eq. 11),
+//! - [`DcoOptimizer`]: the gradient loop of Algorithm 2, driving a cell
+//!   spreader against a frozen [`dco_unet::SiameseUNet`]: the paper's
+//!   [`dco_gnn::Gcn`] ([`DcoOptimizer::new`]) or the per-cell baseline it
+//!   rejects in Sec. IV-A ([`DcoOptimizer::direct`]),
 //! - [`diff_placements`] / [`directives_to_tcl`]: exporting the spreading
 //!   decisions as ICC2-style TCL, mirroring how the paper's DCO-3D plugs
 //!   into the commercial flow.
@@ -55,11 +57,8 @@ mod optimizer;
 mod rasterizer;
 
 pub use density::{bell, bell_dd, SmoothDensity};
-pub use direct::DirectOptimizer;
 pub use export::{diff_placements, directives_to_tcl, SpreadDirective};
-pub use losses::{
-    congestion_loss, displacement_loss, overlap_loss, weighted_displacement_loss, CutsizeLoss,
-};
+pub use losses::{congestion_loss, overlap_loss, weighted_displacement_loss, CutsizeLoss};
 pub use optimizer::{DcoConfig, DcoOptimizer, DcoResult, LossBreakdown};
 pub use rasterizer::SoftRasterizer;
 

@@ -5,7 +5,7 @@ use crate::{SmoothDensity, SoftRasterizer};
 use dco_features::NUM_CHANNELS;
 use dco_gnn::Gcn;
 use dco_netlist::{Design, GcellGrid, Netlist, Placement3, Tier};
-use dco_tensor::{Adam, Graph, Tensor, Var};
+use dco_tensor::{Adam, Csr, Graph, ParamStore, Tensor, Var};
 use dco_unet::{Normalization, SiameseUNet};
 use std::rc::Rc;
 
@@ -118,19 +118,68 @@ pub struct DcoResult {
     pub degraded: bool,
 }
 
+/// What Algorithm 2 descends: the source of each cell's raw Δx, Δy and
+/// z logit.
+pub(crate) enum Spreader {
+    /// The paper's shared-weight GCN over the `[n, F]` Table-II node
+    /// features and the netlist adjacency.
+    Gnn {
+        gcn: Gcn,
+        node_features: Tensor,
+        adj: Rc<Csr>,
+    },
+    /// Independent `[n, 1]` parameters `dx`, `dy` and `zl` (the z logit):
+    /// the per-cell baseline of Sec. IV-A (see [`DcoOptimizer::direct`]).
+    Direct(ParamStore),
+}
+
+impl Spreader {
+    fn store_mut(&mut self) -> &mut ParamStore {
+        match self {
+            Self::Gnn { gcn, .. } => gcn.store_mut(),
+            Self::Direct(store) => store,
+        }
+    }
+
+    /// Record the raw `[n, 1]` Δx, Δy and z-logit columns.
+    fn raw(&mut self, g: &mut Graph) -> (Var, Var, Var) {
+        match self {
+            Self::Gnn {
+                gcn,
+                node_features,
+                adj,
+            } => {
+                let feats = g.input(node_features.clone());
+                let raw = gcn.forward(g, Rc::clone(adj), feats);
+                (
+                    g.slice_cols(raw, 0, 1),
+                    g.slice_cols(raw, 1, 1),
+                    g.slice_cols(raw, 2, 1),
+                )
+            }
+            Self::Direct(store) => (
+                store.bind(g, "dx"),
+                store.bind(g, "dy"),
+                store.bind(g, "zl"),
+            ),
+        }
+    }
+}
+
 /// The DCO-3D optimizer (paper Sec. IV, Algorithm 2).
 ///
-/// Couples a [`Gcn`] cell spreader to a frozen [`SiameseUNet`] congestion
-/// predictor through the differentiable [`SoftRasterizer`], and descends
-/// the four-term objective `α·L_disp + β·L_ovlp + γ·L_cut + δ·L_cong`.
+/// Couples a cell spreader — a [`Gcn`] ([`DcoOptimizer::new`]) or the
+/// rejected per-cell baseline ([`DcoOptimizer::direct`]) — to a frozen
+/// [`SiameseUNet`] congestion predictor through the differentiable
+/// [`SoftRasterizer`], and descends the four-term objective
+/// `α·L_disp + β·L_ovlp + γ·L_cut + δ·L_cong`.
 pub struct DcoOptimizer<'a> {
     design: &'a Design,
     netlist: Rc<Netlist>,
     unet: &'a SiameseUNet,
     normalization: &'a Normalization,
-    node_features: Tensor,
     cfg: DcoConfig,
-    gcn: Gcn,
+    spreader: Spreader,
     cutsize: CutsizeLoss,
     raster_grid: GcellGrid,
     disp_weights: Tensor,
@@ -153,6 +202,24 @@ impl<'a> DcoOptimizer<'a> {
         gcn: Gcn,
         cfg: DcoConfig,
     ) -> Self {
+        let adj = Rc::new(dco_gnn::build_adjacency(design, 48));
+        let spreader = Spreader::Gnn {
+            gcn,
+            node_features,
+            adj,
+        };
+        Self::with_spreader(design, unet, normalization, spreader, cfg)
+    }
+
+    /// The shared constructor behind [`DcoOptimizer::new`] and
+    /// [`DcoOptimizer::direct`].
+    pub(crate) fn with_spreader(
+        design: &'a Design,
+        unet: &'a SiameseUNet,
+        normalization: &'a Normalization,
+        spreader: Spreader,
+        cfg: DcoConfig,
+    ) -> Self {
         let size = unet.config().size;
         let raster_grid = GcellGrid {
             nx: size,
@@ -166,12 +233,20 @@ impl<'a> DcoOptimizer<'a> {
             netlist: Rc::new(design.netlist.clone()),
             unet,
             normalization,
-            node_features,
             cfg,
-            gcn,
+            spreader,
             cutsize: CutsizeLoss::new(&design.netlist, 48),
             raster_grid,
             disp_weights: Tensor::ones(&[n, 1]),
+        }
+    }
+
+    /// Number of trainable scalars: the GCN's constant few thousand, or
+    /// `3 × #cells` for the per-cell baseline.
+    pub fn num_parameters(&self) -> usize {
+        match &self.spreader {
+            Spreader::Gnn { gcn, .. } => gcn.num_parameters(),
+            Spreader::Direct(store) => store.num_scalars(),
         }
     }
 
@@ -216,7 +291,6 @@ impl<'a> DcoOptimizer<'a> {
             &[n, 1],
         );
 
-        let adj = Rc::new(dco_gnn::build_adjacency(self.design, 48));
         let rasterizer = Rc::new(SoftRasterizer::new(
             Rc::clone(&self.netlist),
             self.raster_grid,
@@ -237,7 +311,7 @@ impl<'a> DcoOptimizer<'a> {
         let mut diagnostics: Vec<dco_tensor::Diagnostic> = Vec::new();
         // Divergence guard state: parameters known to have produced a finite
         // loss, so a poisoned update can be rolled back instead of cascading.
-        let mut last_good = self.gcn.store_mut().snapshot();
+        let mut last_good = self.spreader.store_mut().snapshot();
         let mut divergence_events = 0usize;
         let mut degraded = false;
 
@@ -247,8 +321,7 @@ impl<'a> DcoOptimizer<'a> {
             }
             let _iter_span = dco_obs::span!("dco.iter", iter = iter);
             let mut g = Graph::new();
-            let (x, y, z, dx, dy) =
-                self.decode(&mut g, &adj, &x0, &y0, &z_bias, &movable, max_disp);
+            let (x, y, z, dx, dy) = self.decode(&mut g, &x0, &y0, &z_bias, &movable, max_disp);
 
             // losses (dx/dy are displacements; critical cells weighted)
             let wts = g.input(self.disp_weights.clone());
@@ -310,14 +383,14 @@ impl<'a> DcoOptimizer<'a> {
             }
 
             g.backward(total);
-            self.gcn.store_mut().apply_grads(&g);
+            let store = self.spreader.store_mut();
+            store.apply_grads(&g);
 
-            let finite =
-                breakdown.total.is_finite() && self.gcn.store_mut().grad_norm().is_finite();
+            let finite = breakdown.total.is_finite() && store.grad_norm().is_finite();
             if !finite {
                 divergence_events += 1;
                 dco_obs::counter_add("dco.rollbacks", 1);
-                self.gcn.store_mut().restore(&last_good);
+                store.restore(&last_good);
                 lr *= self.cfg.lr_backoff;
                 opt = Adam::new(lr);
                 calm_iters = 0;
@@ -331,9 +404,9 @@ impl<'a> DcoOptimizer<'a> {
             // Parameter values at this point are pre-step (apply_grads only
             // accumulates gradients), i.e. the ones that produced this
             // finite loss — snapshot them before the optimizer mutates.
-            last_good = self.gcn.store_mut().snapshot();
-            self.gcn.store_mut().clip_grad_norm(5.0);
-            opt.step(self.gcn.store_mut());
+            last_good = store.snapshot();
+            store.clip_grad_norm(5.0);
+            opt.step(store);
 
             if let Some(prev) = history.last() {
                 let rel = (prev.total - breakdown.total).abs() / prev.total.abs().max(1e-9);
@@ -351,9 +424,9 @@ impl<'a> DcoOptimizer<'a> {
             }
         }
 
-        // Final decode with the trained GNN -> hard placement.
+        // Final decode with the trained spreader -> hard placement.
         let mut g = Graph::new();
-        let (x, y, z, _, _) = self.decode(&mut g, &adj, &x0, &y0, &z_bias, &movable, max_disp);
+        let (x, y, z, _, _) = self.decode(&mut g, &x0, &y0, &z_bias, &movable, max_disp);
         let xs = g.value(x).data().to_vec();
         let ys = g.value(y).data().to_vec();
         let zs = g.value(z).data().to_vec();
@@ -398,23 +471,19 @@ impl<'a> DcoOptimizer<'a> {
         }
     }
 
-    /// Shared GNN-decode: returns `(x, y, z, dx, dy)` graph vars.
-    #[allow(clippy::too_many_arguments)]
+    /// Decode the spreader into `(x, y, z, dx, dy)` graph vars: tanh-bounded
+    /// displacements of movable cells from `(x0, y0)` and the sigmoid tier
+    /// probability around `z_bias`.
     fn decode(
         &mut self,
         g: &mut Graph,
-        adj: &Rc<dco_tensor::Csr>,
         x0: &Tensor,
         y0: &Tensor,
         z_bias: &Tensor,
         movable: &Tensor,
         max_disp: f32,
     ) -> (Var, Var, Var, Var, Var) {
-        let feats = g.input(self.node_features.clone());
-        let raw = self.gcn.forward(g, Rc::clone(adj), feats);
-        let raw_dx = g.slice_cols(raw, 0, 1);
-        let raw_dy = g.slice_cols(raw, 1, 1);
-        let raw_z = g.slice_cols(raw, 2, 1);
+        let (raw_dx, raw_dy, raw_z) = self.spreader.raw(g);
         let mv = g.input(movable.clone());
         let tdx = g.tanh(raw_dx);
         let tdx = g.mul(tdx, mv);
@@ -503,6 +572,19 @@ mod tests {
         )
     }
 
+    /// [`optimizer`] and the per-cell baseline over the same inputs.
+    fn both_spreaders<'a>(
+        design: &'a Design,
+        unet: &'a SiameseUNet,
+        norm: &'a Normalization,
+        cfg: DcoConfig,
+    ) -> [DcoOptimizer<'a>; 2] {
+        [
+            optimizer(design, unet, norm, cfg.clone()),
+            DcoOptimizer::direct(design, unet, norm, cfg, 5),
+        ]
+    }
+
     #[test]
     fn dco_runs_and_tracks_losses() {
         let (design, unet, norm) = setup();
@@ -529,12 +611,13 @@ mod tests {
             max_iter: 3,
             ..DcoConfig::default()
         };
-        let mut dco = optimizer(&design, &unet, &norm, cfg);
-        let result = dco.run(&design.placement);
-        for id in design.netlist.cell_ids() {
-            if !design.netlist.cell(id).movable() {
-                assert_eq!(result.placement.x(id), design.placement.x(id));
-                assert_eq!(result.placement.tier(id), design.placement.tier(id));
+        for mut dco in both_spreaders(&design, &unet, &norm, cfg) {
+            let result = dco.run(&design.placement);
+            for id in design.netlist.cell_ids() {
+                if !design.netlist.cell(id).movable() {
+                    assert_eq!(result.placement.x(id), design.placement.x(id));
+                    assert_eq!(result.placement.tier(id), design.placement.tier(id));
+                }
             }
         }
     }
@@ -548,14 +631,15 @@ mod tests {
             max_displacement_frac: frac,
             ..DcoConfig::default()
         };
-        let mut dco = optimizer(&design, &unet, &norm, cfg);
-        let result = dco.run(&design.placement);
         let max_d = design.floorplan.die.width.min(design.floorplan.die.height) * frac;
-        for id in design.netlist.cell_ids() {
-            let dx = (result.placement.x(id) - design.placement.x(id)).abs();
-            let dy = (result.placement.y(id) - design.placement.y(id)).abs();
-            assert!(dx <= max_d + 1e-3, "dx {dx} > {max_d}");
-            assert!(dy <= max_d + 1e-3, "dy {dy} > {max_d}");
+        for mut dco in both_spreaders(&design, &unet, &norm, cfg) {
+            let result = dco.run(&design.placement);
+            for id in design.netlist.cell_ids() {
+                let dx = (result.placement.x(id) - design.placement.x(id)).abs();
+                let dy = (result.placement.y(id) - design.placement.y(id)).abs();
+                assert!(dx <= max_d + 1e-3, "dx {dx} > {max_d}");
+                assert!(dy <= max_d + 1e-3, "dy {dy} > {max_d}");
+            }
         }
     }
 
@@ -567,10 +651,11 @@ mod tests {
             enable_z: false,
             ..DcoConfig::default()
         };
-        let mut dco = optimizer(&design, &unet, &norm, cfg);
-        let result = dco.run(&design.placement);
-        for id in design.netlist.cell_ids() {
-            assert_eq!(result.placement.tier(id), design.placement.tier(id));
+        for mut dco in both_spreaders(&design, &unet, &norm, cfg) {
+            let result = dco.run(&design.placement);
+            for id in design.netlist.cell_ids() {
+                assert_eq!(result.placement.tier(id), design.placement.tier(id));
+            }
         }
     }
 
@@ -610,15 +695,16 @@ mod tests {
             inject_nan_loss_at: Some(1),
             ..DcoConfig::default()
         };
-        let mut dco = optimizer(&design, &unet, &norm, cfg);
-        let result = dco.run(&design.placement);
-        assert_eq!(result.divergence_events, 1);
-        assert!(!result.degraded);
-        // The poisoned attempt is rolled back and excluded from history.
-        assert_eq!(result.history.len(), result.iterations);
-        assert_eq!(result.iterations, 4);
-        for lb in &result.history {
-            assert!(lb.total.is_finite());
+        for mut dco in both_spreaders(&design, &unet, &norm, cfg) {
+            let result = dco.run(&design.placement);
+            assert_eq!(result.divergence_events, 1);
+            assert!(!result.degraded);
+            // The poisoned attempt is rolled back and excluded from history.
+            assert_eq!(result.history.len(), result.iterations);
+            assert_eq!(result.iterations, 4);
+            for lb in &result.history {
+                assert!(lb.total.is_finite());
+            }
         }
     }
 
@@ -651,9 +737,12 @@ mod tests {
             max_iter: 3,
             ..DcoConfig::default()
         };
-        let a = optimizer(&design, &unet, &norm, cfg.clone()).run(&design.placement);
-        let b = optimizer(&design, &unet, &norm, cfg).run(&design.placement);
-        assert_eq!(a.placement, b.placement);
-        assert_eq!(a.history.len(), b.history.len());
+        let runs = || both_spreaders(&design, &unet, &norm, cfg.clone());
+        for (mut a, mut b) in runs().into_iter().zip(runs()) {
+            let a = a.run(&design.placement);
+            let b = b.run(&design.placement);
+            assert_eq!(a.placement, b.placement);
+            assert_eq!(a.history.len(), b.history.len());
+        }
     }
 }

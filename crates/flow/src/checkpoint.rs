@@ -221,9 +221,10 @@ impl CheckpointStore {
         self.kind_dir.join(format!("{}.json", stage.name()))
     }
 
-    /// Path of the shared predictor bundle (the `train` pseudo-stage).
-    pub fn predictor_path(&self) -> PathBuf {
-        self.root.join("predictor.json")
+    /// Path of the shared predictor bundle (the `train` pseudo-stage) in
+    /// checkpoint directory `dir`.
+    pub fn predictor_path(dir: &Path) -> PathBuf {
+        dir.join("predictor.json")
     }
 
     /// Atomically persist a stage payload.

@@ -10,7 +10,7 @@ use crate::resilience::{
 };
 use dco3d::{DcoConfig, DcoOptimizer};
 use dco_gnn::{build_node_features, Gcn, GcnConfig};
-use dco_netlist::{Design, NetId, Placement3};
+use dco_netlist::{Design, Placement3};
 use dco_place::{detailed_place, legalize, GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
 use dco_timing::{run_timing_eco, synthesize_clock_tree, EcoConfig, PowerAnalyzer, Sta};
@@ -197,6 +197,27 @@ pub struct Predictor {
     pub train_result: TrainResult,
 }
 
+impl Predictor {
+    /// A predictor from weights that carry no training record (a saved
+    /// bundle, or weights trained elsewhere): empty training curves, no
+    /// divergence events, not degraded.
+    pub fn from_weights(unet: SiameseUNet, normalization: Normalization) -> Self {
+        let train_result = TrainResult {
+            train_loss: Vec::new(),
+            test_loss: Vec::new(),
+            test_metrics: Vec::new(),
+            normalization: normalization.clone(),
+            divergence_events: 0,
+            degraded: false,
+        };
+        Self {
+            unet,
+            normalization,
+            train_result,
+        }
+    }
+}
+
 /// Train the DCO-3D congestion predictor for `design` (Sec. III).
 pub fn train_predictor(design: &Design, cfg: &FlowConfig, seed: u64) -> Predictor {
     let train_cfg = TrainConfig {
@@ -250,11 +271,11 @@ fn persist_to_flow_error(e: dco_unet::PersistError) -> FlowError {
 /// Resilient predictor training: the flow-level `train` pseudo-stage.
 ///
 /// With a checkpoint directory configured, a previously saved predictor
-/// bundle (`<dir>/predictor.json`) is loaded instead of retraining; a
-/// corrupt bundle is discarded (with a [`RecoveryEvent`]) and training
-/// re-runs. Panics are isolated and retried per `opts`, and the trainer's
-/// divergence guard (plus any armed `nan@train` fault) is surfaced in the
-/// returned [`ResilienceReport`].
+/// bundle ([`CheckpointStore::predictor_path`]) is loaded instead of
+/// retraining; a corrupt bundle is discarded (with a [`RecoveryEvent`]) and
+/// training re-runs. Panics are isolated and retried per `opts`, and the
+/// trainer's divergence guard (plus any armed `nan@train` fault) is surfaced
+/// in the returned [`ResilienceReport`].
 ///
 /// The training curves in [`Predictor::train_result`] are empty on resume —
 /// only the weights and normalization are persisted.
@@ -275,8 +296,8 @@ pub fn train_predictor_resilient(
     let mut report = ResilienceReport::default();
     let predictor_path = opts
         .checkpoint_dir
-        .as_ref()
-        .map(|d| d.join("predictor.json"));
+        .as_deref()
+        .map(CheckpointStore::predictor_path);
 
     if let Some(path) = &predictor_path {
         if path.exists() {
@@ -285,22 +306,7 @@ pub fn train_predictor_resilient(
                     report
                         .events
                         .push(RecoveryEvent::ResumedFromCheckpoint { stage: "train" });
-                    let train_result = TrainResult {
-                        train_loss: Vec::new(),
-                        test_loss: Vec::new(),
-                        test_metrics: Vec::new(),
-                        normalization: normalization.clone(),
-                        divergence_events: 0,
-                        degraded: false,
-                    };
-                    return Ok((
-                        Predictor {
-                            unet,
-                            normalization,
-                            train_result,
-                        },
-                        report,
-                    ));
+                    return Ok((Predictor::from_weights(unet, normalization), report));
                 }
                 Err(e) => {
                     report
@@ -719,7 +725,6 @@ impl<'a> FlowRunner<'a> {
                 lengths[net_id.index()] = clock_wl;
             }
         }
-        let _ = NetId(0);
         lengths
     }
 

@@ -909,11 +909,11 @@ fn send_deadline_exceeded(job: &QueuedJob, stats: &mut ServeStats, counters: &Se
 }
 
 /// Resolve a job's placement: the explicit one (validated against the warm
-/// design) or the deterministic baseline at `seed`.
+/// design's cell count) or, without one, whatever `fallback` builds.
 fn resolve_placement(
     state: &WarmState,
     placement: Option<&Placement3>,
-    seed: u64,
+    fallback: impl FnOnce() -> Placement3,
 ) -> Result<Placement3, String> {
     match placement {
         Some(p) => {
@@ -926,7 +926,7 @@ fn resolve_placement(
             }
             Ok(p.clone())
         }
-        None => Ok(state.baseline_placement(seed)),
+        None => Ok(fallback()),
     }
 }
 
@@ -964,7 +964,10 @@ fn run_predict_batch(
                 conn = job.conn
             );
             catch_unwind(AssertUnwindSafe(|| {
-                resolve_placement(state, placement.as_ref(), *seed).map(|p| state.features_for(&p))
+                resolve_placement(state, placement.as_ref(), || {
+                    state.baseline_placement(*seed)
+                })
+                .map(|p| state.features_for(&p))
             }))
         };
         match outcome {
@@ -1046,7 +1049,9 @@ fn run_delta<'a>(
     if *reset {
         *session = None;
     }
-    let placement = match resolve_placement(state, placement.as_ref(), *seed) {
+    let placement = match resolve_placement(state, placement.as_ref(), || {
+        state.baseline_placement(*seed)
+    }) {
         Ok(p) => p,
         Err(detail) => {
             send_error(job, ErrorKind::BadRequest, &detail, stats);
@@ -1143,19 +1148,10 @@ fn run_spread(
         .clamp(1, state.config().dco.max_iter.max(1));
     let token = arm_deadline(job, watchdog);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let start = match placement {
-            Some(p) => {
-                let want = state.design().netlist.num_cells();
-                if p.xs().len() != want {
-                    return Err(format!(
-                        "placement has {} cells, design has {want}",
-                        p.xs().len()
-                    ));
-                }
-                p.clone()
-            }
-            None => state.runner().stage_place(FlowKind::Pin3d, *seed).placement,
-        };
+        // Spreading starts from the global placement, before legalization.
+        let start = resolve_placement(state, placement.as_ref(), || {
+            state.runner().stage_place(FlowKind::Pin3d, *seed).placement
+        })?;
         let place = PlaceStage {
             params: PlacementParams::pin3d_baseline(),
             placement: start,
@@ -1164,7 +1160,7 @@ fn run_spread(
         dco_cfg.max_iter = budget;
         dco_cfg.cancel = token.clone();
         let runner = state.runner_cancellable(&token);
-        Ok(runner.stage_dco_with(state.predictor(), &place, *seed, dco_cfg))
+        Ok::<_, String>(runner.stage_dco_with(state.predictor(), &place, *seed, dco_cfg))
     }));
     if token.is_cancelled() {
         // Whatever the body produced was computed under a blown deadline;

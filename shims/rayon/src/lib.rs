@@ -393,9 +393,20 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Pool stats are process-global and the test harness runs tests on
+    /// parallel threads, so every test that enters the pool holds this
+    /// lock: `pool_stats_count_tasks_and_workers` then counts only its own
+    /// calls.
+    fn pool_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn results_come_back_in_task_order() {
+        let _pool = pool_lock();
         for threads in [1, 2, 4, 8] {
             let out = par_indexed(threads, (0..257u32).collect(), |i, v| {
                 assert_eq!(i as u32, v);
@@ -410,6 +421,7 @@ mod tests {
 
     #[test]
     fn every_task_runs_exactly_once_under_stealing() {
+        let _pool = pool_lock();
         let counter = AtomicUsize::new(0);
         // Skewed task costs force stealing: worker 0's block is heavy.
         let out = par_indexed(4, (0..64usize).collect(), |_, v| {
@@ -425,6 +437,7 @@ mod tests {
 
     #[test]
     fn chunks_mut_partitions_without_aliasing() {
+        let _pool = pool_lock();
         let mut data = vec![0u32; 1000];
         let sums = par_chunks_mut(4, &mut data, 33, |ci, chunk| {
             for (j, v) in chunk.iter_mut().enumerate() {
@@ -444,6 +457,7 @@ mod tests {
 
     #[test]
     fn nested_calls_run_inline() {
+        let _pool = pool_lock();
         let out = par_indexed(4, (0..8usize).collect(), |_, v| {
             assert!(in_parallel_region());
             // The nested call must not spawn (it would deadlock nothing,
@@ -458,6 +472,7 @@ mod tests {
 
     #[test]
     fn reduce_ordered_matches_sequential_fold() {
+        let _pool = pool_lock();
         let parts = par_chunks(8, &(0..1003u64).collect::<Vec<_>>(), 17, |_, c| {
             c.iter().sum::<u64>()
         });
@@ -474,6 +489,7 @@ mod tests {
 
     #[test]
     fn pool_stats_count_tasks_and_workers() {
+        let _pool = pool_lock();
         // Stats are process-global; run disabled+enabled checks in one
         // test so no other test observes the toggled flag.
         reset_pool_stats();
@@ -505,6 +521,7 @@ mod tests {
 
     #[test]
     fn panics_propagate() {
+        let _pool = pool_lock();
         let r = std::panic::catch_unwind(|| {
             par_indexed(2, (0..8usize).collect(), |_, v| {
                 assert!(v != 5, "boom");

@@ -31,7 +31,7 @@ use dco_flow::serve::{serve, Bind, QueueCaps, ServeOptions, ServerHandle, WarmSt
 use dco_flow::{train_predictor, FlowConfig, Predictor};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::Design;
-use dco_unet::{load_predictor, save_predictor, TrainResult};
+use dco_unet::{load_predictor, save_predictor};
 use serde_json::Value;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -73,18 +73,7 @@ fn predictor_path() -> &'static PathBuf {
 
 fn warm_state() -> WarmState {
     let (unet, normalization) = load_predictor(predictor_path()).expect("load predictor");
-    let predictor = Predictor {
-        unet,
-        normalization: normalization.clone(),
-        train_result: TrainResult {
-            train_loss: Vec::new(),
-            test_loss: Vec::new(),
-            test_metrics: Vec::new(),
-            normalization,
-            divergence_events: 0,
-            degraded: false,
-        },
-    };
+    let predictor = Predictor::from_weights(unet, normalization);
     WarmState::new(fixture_design(), quick_cfg(), predictor)
 }
 

@@ -32,7 +32,7 @@ use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::{CellId, Design, Placement3};
 use dco_route::{IncrementalRouter, RouteResult, RouterConfig};
 use dco_timing::{IncrementalSta, TimingReport};
-use dco_unet::{load_predictor, save_predictor, TrainResult};
+use dco_unet::{load_predictor, save_predictor};
 use rand::{Rng, SeedableRng};
 
 /// Worker counts are process-global; serialize tests.
@@ -79,18 +79,7 @@ fn predictor_path() -> &'static PathBuf {
 
 fn load_fixture_predictor() -> Predictor {
     let (unet, normalization) = load_predictor(predictor_path()).expect("load predictor");
-    Predictor {
-        unet,
-        normalization: normalization.clone(),
-        train_result: TrainResult {
-            train_loss: Vec::new(),
-            test_loss: Vec::new(),
-            test_metrics: Vec::new(),
-            normalization,
-            divergence_events: 0,
-            degraded: false,
-        },
-    }
+    Predictor::from_weights(unet, normalization)
 }
 
 /// The delta sizes the acceptance contract names: empty, one cell, ~1% of

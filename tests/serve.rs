@@ -33,7 +33,7 @@ use dco_flow::serve::{
 use dco_flow::{train_predictor, FlowConfig, FlowKind, Predictor, ResilienceOptions};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::{CellId, Design};
-use dco_unet::{load_predictor, save_predictor, TrainResult};
+use dco_unet::{load_predictor, save_predictor};
 use serde_json::Value;
 
 /// Worker counts and the obs registry are process-global; serialize tests.
@@ -76,18 +76,7 @@ fn fixture_design() -> Design {
 /// serves bit-identical weights.
 fn warm_state() -> WarmState {
     let (unet, normalization) = load_predictor(predictor_path()).expect("load predictor");
-    let predictor = Predictor {
-        unet,
-        normalization: normalization.clone(),
-        train_result: TrainResult {
-            train_loss: Vec::new(),
-            test_loss: Vec::new(),
-            test_metrics: Vec::new(),
-            normalization,
-            divergence_events: 0,
-            degraded: false,
-        },
-    };
+    let predictor = Predictor::from_weights(unet, normalization);
     WarmState::new(fixture_design(), quick_cfg(), predictor)
 }
 
@@ -518,6 +507,29 @@ fn served_delta_jobs_match_one_shot_predict_bitwise() {
 }
 
 // --- adversarial inputs ----------------------------------------------------
+
+#[test]
+fn wrong_length_placements_are_rejected_for_predict_and_spread() {
+    let _lock = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (handle, path) = spawn_unix("wrong_len", ServeOptions::default());
+    let mut c = Client::connect(&path);
+    let one_cell = r#"{"x":[1.0],"y":[2.0],"tier":["Top"]}"#;
+    for (id, job) in [(1, "predict"), (2, "spread")] {
+        let resp = c.round_trip(&format!(
+            r#"{{"id":{id},"job":"{job}","placement":{one_cell}}}"#
+        ));
+        assert_eq!(error_kind(&resp), "bad-request", "{job}: {resp:?}");
+    }
+    // The daemon keeps serving both job kinds afterwards.
+    let predict = c.round_trip(r#"{"id":3,"job":"predict","seed":5}"#);
+    assert_ok(&predict, 3, "predict");
+    let spread = c.round_trip(r#"{"id":4,"job":"spread","seed":5,"iters":1}"#);
+    assert_ok(&spread, 4, "spread");
+    assert_ok(&c.round_trip(r#"{"id":5,"job":"shutdown"}"#), 5, "shutdown");
+    let stats = handle.join().expect("clean shutdown");
+    assert_eq!(stats.errors, 2, "only the wrong-length placements errored");
+    assert_eq!((stats.predict, stats.spread), (1, 1));
+}
 
 #[test]
 fn adversarial_inputs_yield_typed_errors_and_daemon_survives() {
