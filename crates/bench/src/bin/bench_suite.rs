@@ -401,6 +401,25 @@ fn main() {
             || conv2d_backward_input(x224.shape(), &w224, 1, 1, &gy224),
             |gx| dco_parallel::checksum_f32(gx.data()),
         ));
+        // The heaviest op of that backward in the flow: the decoder's last
+        // 3×3 conv (`dec2`, 12 → 6 channels at the flow's UNet width 6).
+        let w_dec = Tensor::from_vec(
+            (0..6 * 12 * 9).map(|i| ((i as f32) * 0.41).cos()).collect(),
+            &[6, 12, 3, 3],
+        );
+        let gy_dec = Tensor::from_vec(
+            (0..6 * 224 * 224)
+                .map(|i| ((i as f32) * 0.263).sin())
+                .collect(),
+            &[1, 6, 224, 224],
+        );
+        entries.push(sweep(
+            "conv2d_backward_input_224_dec",
+            &threads,
+            reps,
+            || conv2d_backward_input(&[1, 12, 224, 224], &w_dec, 1, 1, &gy_dec),
+            |gx| dco_parallel::checksum_f32(gx.data()),
+        ));
         // The decoder's last up-sampling (up2): 2×2 stride-2 transposed
         // conv, 16 → 8 channels, 112×112 → 224×224.
         let xt = Tensor::from_vec(

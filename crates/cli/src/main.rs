@@ -233,7 +233,8 @@ fn print_help() {
          \x20 place      3D global placement + legalization (--cong for congestion-driven)\n\
          \x20 route      global routing and overflow report\n\
          \x20 sta        timing and power analysis of the placed+routed design\n\
-         \x20 train      train the congestion predictor (--out <file.json>)\n\
+         \x20 train      train the congestion predictor (--out <file.json>;\n\
+         \x20            --map-size/--channels/--layouts/--epochs as for flow)\n\
          \x20 dco        run differentiable congestion optimization (--predictor <file>,\n\
          \x20            --validate to statically check the autograd tape)\n\
          \x20 flow       run the Table-III flows and print the comparison block\n\
@@ -243,6 +244,8 @@ fn print_help() {
          \x20                              nan@train, corrupt@<stage>, route-stall\n\
          \x20            --retries <n>     per-stage panic retries (default 1)\n\
          \x20            --map-size/--channels/--layouts/--epochs/--dco-iters  speed knobs\n\
+         \x20            (with --predictor <file>, map size and channels are the file's;\n\
+         \x20            likewise for predict and serve)\n\
          \x20 predict    one-shot congestion prediction for the baseline placement\n\
          \x20            (--out <file> writes the served-identical result payload)\n\
          \x20 serve      warm-weights daemon: --socket <path> or --listen <addr>\n\
@@ -397,9 +400,7 @@ fn cmd_sta(args: &Args) -> CliResult {
 fn cmd_train(args: &Args) -> CliResult {
     let design = load_design(args)?;
     let seed = args.get("seed", 1u64);
-    let mut cfg = FlowConfig::default();
-    cfg.train_layouts = args.get("layouts", cfg.train_layouts);
-    cfg.train_epochs = args.get("epochs", cfg.train_epochs);
+    let cfg = flow_config(args);
     let predictor = train_predictor(&design, &cfg, seed);
     let m = &predictor.train_result;
     let mean_nrmse =
@@ -471,16 +472,39 @@ fn cmd_dco(args: &Args) -> CliResult {
     Ok(0)
 }
 
+/// Load the `--predictor <file>` bundle and take the map size and UNet
+/// width into `cfg` from it, so features are rasterized at the size the
+/// model was trained at. An explicit `--map-size` or `--channels` that
+/// disagrees with the bundle is a usage error.
+fn load_bundle(args: &Args, path: &str, cfg: &mut FlowConfig) -> Result<Predictor, CliError> {
+    let (unet, normalization) = load_predictor(path)?;
+    let trained = unet.config();
+    for (flag, bundled) in [
+        ("map-size", trained.size),
+        ("channels", trained.base_channels),
+    ] {
+        if let Some(given) = args.options.get(flag) {
+            if given.parse::<usize>().ok() != Some(bundled) {
+                return Err(CliError::usage(format!(
+                    "--{flag} {given} disagrees with the predictor {path}, trained with {bundled}"
+                )));
+            }
+        }
+    }
+    cfg.map_size = trained.size;
+    cfg.unet_channels = trained.base_channels;
+    Ok(Predictor::from_weights(unet, normalization))
+}
+
 /// Assemble the warm state shared by `predict` and `serve`: the generated
 /// design, the flow configuration, and a trained predictor (loaded from
 /// `--predictor <file>` when given, trained in-process otherwise).
 fn warm_state(args: &Args) -> Result<WarmState, CliError> {
     let design = load_design(args)?;
     let seed = args.get("seed", 1u64);
-    let cfg = flow_config(args);
+    let mut cfg = flow_config(args);
     let predictor = if let Some(path) = args.options.get("predictor") {
-        let (unet, normalization) = load_predictor(path)?;
-        Predictor::from_weights(unet, normalization)
+        load_bundle(args, path, &mut cfg)?
     } else {
         eprintln!("training predictor ...");
         train_predictor(&design, &cfg, seed)
@@ -687,7 +711,8 @@ fn cmd_client(args: &Args) -> CliResult {
     Ok(0)
 }
 
-/// Flow-level knobs shared by `flow` runs; small values make CI fast.
+/// Flow-level knobs shared by `train`, `predict`, `serve` and `flow`;
+/// small values make CI fast.
 fn flow_config(args: &Args) -> FlowConfig {
     let mut cfg = FlowConfig::default();
     cfg.map_size = args.get("map-size", cfg.map_size);
@@ -721,7 +746,7 @@ fn resilience_options(args: &Args) -> Result<ResilienceOptions, CliError> {
 fn cmd_flow(args: &Args) -> CliResult {
     let design = load_design(args)?;
     let seed = args.get("seed", 1u64);
-    let cfg = flow_config(args);
+    let mut cfg = flow_config(args);
     let opts = resilience_options(args)?;
     let kinds: Vec<FlowKind> = match args.get_str("kind", "all").as_str() {
         "all" => FlowKind::ALL.to_vec(),
@@ -739,8 +764,7 @@ fn cmd_flow(args: &Args) -> CliResult {
     let predictor: Option<Predictor> = if !kinds.contains(&FlowKind::Dco3d) {
         None
     } else if let Some(path) = args.options.get("predictor") {
-        let (unet, normalization) = load_predictor(path)?;
-        Some(Predictor::from_weights(unet, normalization))
+        Some(load_bundle(args, path, &mut cfg)?)
     } else {
         eprintln!("training predictor ...");
         let (p, report) =

@@ -18,10 +18,11 @@
 //! Each backward pass is split per operand — `*_backward_input`,
 //! `*_backward_weight` and [`bias_chan_backward`] — so the autograd tape
 //! runs only the gradients some node needs: a frozen-weight pass (DCO
-//! through the trained UNet) never builds a weight GEMM. The transposed
-//! convolution reuses the same packed kernel in both directions: its
-//! forward is a strip-mined `scatter(Wᵀ · X)`, its input gradient is a
-//! plain [`conv2d_forward`].
+//! through the trained UNet) never builds a weight GEMM. A transposed
+//! convolution and conv2d's input gradient are the same computation, a
+//! `scatter(Wᵀ · X)`, and share one strip-mined loop on the packed kernel
+//! whose column buffer holds a few rows, never a whole image. The
+//! transposed convolution's input gradient is a plain [`conv2d_forward`].
 
 use crate::arena;
 use crate::kernel;
@@ -209,44 +210,6 @@ fn im2col_fill_panel(
     // hot-path: end
 }
 
-/// Fold columns `[C*KH*KW, OH*OW]` back into an image `[C, H, W]`,
-/// accumulating overlapping contributions (adjoint of [`im2col_into`]).
-fn col2im_into(
-    data: &[f32],
-    (c, h, w): (usize, usize, usize),
-    (kh, kw): (usize, usize),
-    stride: usize,
-    pad: usize,
-    img: &mut [f32],
-) {
-    let oh = conv_out_size(h, kh, stride, pad);
-    let ow = conv_out_size(w, kw, stride, pad);
-    let ncols = oh * ow;
-    // hot-path: col2im
-    for ci in 0..c {
-        for u in 0..kh {
-            for v in 0..kw {
-                let row = (ci * kh + u) * kw + v;
-                let src = &data[row * ncols..(row + 1) * ncols];
-                for oy in 0..oh {
-                    let iy = (oy * stride + u) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * stride + v) as isize - pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        img[(ci * h + iy as usize) * w + ix as usize] += src[oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-    // hot-path: end
-}
-
 /// 2D convolution forward pass, lowered to packed GEMM.
 ///
 /// The weight matrix `[C_out, C_in·KH·KW]` is packed into A micro-panels
@@ -381,13 +344,18 @@ pub fn conv2d_forward_reference(
     out
 }
 
-/// Input gradient of [`conv2d_forward`]: `∂L/∂X = col2im(Wᵀ · ∂L/∂Y)`.
+/// Input gradient of [`conv2d_forward`]: `∂L/∂X = col2im(Wᵀ · ∂L/∂Y)`,
+/// a transposed convolution of `∂L/∂Y` with the same weights.
 ///
-/// `Wᵀ` is packed once; each image packs its `∂L/∂Y` as B panels, runs
-/// [`crate::kernel`]'s packed GEMM into an arena column buffer, and folds
-/// the columns back into its own slice of the result. Images are
-/// independent tasks writing disjoint slices, so the bits never depend on
-/// the `dco_parallel` thread count.
+/// It runs on the strip loop behind [`conv_transpose2d_forward`]: the
+/// `[C_out, C_in, KH, KW]` weight read as `[C_out, C_in·KH·KW]` is that
+/// loop's `W`, and its output dims are the input shape (at a stride that
+/// leaves trailing input rows or columns unread, they get zero gradient).
+/// The `C_in·KH·KW × OH·OW` column matrix never exists; each strip
+/// computes its columns for a few rows of `∂L/∂Y`. The bits equal those of
+/// the whole-image `col2im(Wᵀ · ∂L/∂Y)` lowering, and images are
+/// independent tasks, so they never depend on the `dco_parallel` thread
+/// count.
 ///
 /// # Panics
 /// Panics on rank, channel or output-gradient shape mismatches.
@@ -404,26 +372,7 @@ pub fn conv2d_backward_input(
     let oh = conv_out_size(h, kh, stride, pad);
     let ow = conv_out_size(wd, kw, stride, pad);
     assert_eq!(gy.shape(), &[bsz, cout, oh, ow], "conv2d output gradient");
-    let kdim = cin * kh * kw;
-    let nsp = oh * ow;
-    // Pack Wᵀ [kdim, cout] once; shared read-only by every image task.
-    let mut apack_wt = arena::scratch_take_raw(kernel::packed_a_len(kdim, cout));
-    kernel::pack_a_transposed(w.data(), kdim, cout, &mut apack_wt);
-    let per_out = cout * nsp;
-    let mut gx = vec![0.0f32; bsz * cin * h * wd];
-    let gyd = gy.data();
-    dco_parallel::par_chunks_mut(&mut gx, cin * h * wd, |bi, gx_img| {
-        let gyb = &gyd[bi * per_out..(bi + 1) * per_out]; // [cout, nsp]
-        let mut bpack_gy = arena::scratch_take_raw(kernel::packed_b_len(cout, nsp));
-        kernel::pack_b(gyb, cout, nsp, &mut bpack_gy);
-        let mut gcols = arena::scratch_take_raw(kdim * nsp);
-        kernel::gemm_prepacked(kdim, cout, nsp, &apack_wt, &bpack_gy, None, &mut gcols);
-        arena::scratch_give(bpack_gy);
-        col2im_into(&gcols, (cin, h, wd), (kh, kw), stride, pad, gx_img);
-        arena::scratch_give(gcols);
-    });
-    arena::scratch_give(apack_wt);
-    Tensor::from_vec(gx, x_shape)
+    convt_strips(gy, w, stride, pad, (h, wd), None)
 }
 
 /// Weight gradient of [`conv2d_forward`]: `∂L/∂W = Σ_b ∂L/∂Y_b · cols_bᵀ`.
@@ -502,10 +451,24 @@ pub fn convt_out_size(input: usize, kernel: usize, stride: usize, pad: usize) ->
     (input - 1) * stride + kernel - 2 * pad
 }
 
+/// [`convt_out_size`], or `None` where the padding crops the output to
+/// nothing (or the input is empty) and the unchecked form would underflow.
+pub(crate) fn checked_convt_out_size(
+    input: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+) -> Option<usize> {
+    (input.checked_sub(1)? * stride + kernel)
+        .checked_sub(2 * pad)
+        .filter(|&size| size > 0)
+}
+
 /// Input columns per strip of the transposed-convolution lowering. A strip
-/// is a few whole input rows; its `C_out·KH·KW × cols` product takes 8 KB
-/// per output channel at the model's 2×2 kernels, where a whole image's
-/// would take megabytes at 224×224 and skew the arena's buffer reuse.
+/// is a few whole input rows; its `F·KH·KW × cols` product takes 8 KB per
+/// output channel at a 2×2 kernel and 18 KB at a 3×3 one, where a whole
+/// image's would take megabytes at 224×224 and skew the arena's buffer
+/// reuse.
 const CONVT_STRIP_COLS: usize = 512;
 
 /// Fill one `KC×NR` B micro-panel straight from a `[C, H·W]` image for the
@@ -539,7 +502,8 @@ fn plane_fill_panel(
 
 /// Scatter-add the strip product `cols[(co, u, v), (iy − iy0)·W + ix]`
 /// into `out[co, iy·s + u − pad, ix·s + v − pad]`, dropping taps that land
-/// in the cropped border.
+/// outside the `oh × ow` output. Within the strip every output pixel takes
+/// its taps in ascending `(u, v)` order.
 fn convt_scatter_strip(
     cols: &[f32],
     (cout, oh, ow): (usize, usize, usize),
@@ -563,10 +527,25 @@ fn convt_scatter_strip(
                     }
                     let orow =
                         &mut out[(co * oh + oy as usize) * ow..(co * oh + oy as usize + 1) * ow];
-                    for (ix, &val) in src[r * wd..(r + 1) * wd].iter().enumerate() {
-                        let ox = (ix * stride + v) as isize - pad as isize;
-                        if ox >= 0 && ox < ow as isize {
-                            orow[ox as usize] += val;
+                    let srow = &src[r * wd..(r + 1) * wd];
+                    if stride == 1 {
+                        // Contiguous run: ix and ox advance together, so the
+                        // in-bounds span is one slice add.
+                        let lo = pad.saturating_sub(v);
+                        let hi = wd.min((ow + pad).saturating_sub(v));
+                        if lo < hi {
+                            let ox0 = lo + v - pad;
+                            for (o, &val) in orow[ox0..ox0 + hi - lo].iter_mut().zip(&srow[lo..hi])
+                            {
+                                *o += val;
+                            }
+                        }
+                    } else {
+                        for (ix, &val) in srow.iter().enumerate() {
+                            let ox = (ix * stride + v) as isize - pad as isize;
+                            if ox >= 0 && ox < ow as isize {
+                                orow[ox as usize] += val;
+                            }
                         }
                     }
                 }
@@ -576,24 +555,105 @@ fn convt_scatter_strip(
     // hot-path: end
 }
 
+/// The one strip-mined transposed convolution, behind
+/// [`conv_transpose2d_forward`] and [`conv2d_backward_input`]:
+/// `out = scatter(Wᵀ · X)`, plus `bias` per output channel, into
+/// `[B, F, oh, ow]`.
+///
+/// `w` is `[C, F, KH, KW]` read as a `[C, F·KH·KW]` matrix `W` (a convT
+/// weight, or a conv2d weight `[C_out, C_in, KH, KW]` with `C = C_out` and
+/// `F = C_in`); `Wᵀ` is packed once per call. Each image runs a few input
+/// rows at a time, about [`CONVT_STRIP_COLS`] pixels: `gemm_fused_b` reads
+/// its B panels straight from the input planes into the strip's column
+/// buffer, and [`convt_scatter_strip`] adds every tap into the output.
+/// The caller picks the output dims.
+///
+/// Exactness: an input pixel `(iy, ix)` sends tap `(u, v)` to output row
+/// `oy = iy·s + u − pad`, so a given output row takes smaller `u` from
+/// lower input rows. Strips are therefore walked bottom-up: every output
+/// pixel then adds its taps in ascending `(u, v)` order, the order a
+/// whole-image `col2im(Wᵀ · X)` adds them. Each tap is the same
+/// k-ascending GEMM sum in both, so the result is bitwise that of the
+/// whole-image lowering and does not depend on the strip size.
+///
+/// Parallelism: batch images are independent tasks with a fixed
+/// per-element order, so results are bitwise identical at any
+/// `dco_parallel` thread count.
+fn convt_strips(
+    x: &Tensor,
+    w: &Tensor,
+    stride: usize,
+    pad: usize,
+    (oh, ow): (usize, usize),
+    bias: Option<&Tensor>,
+) -> Tensor {
+    let (bsz, cin, h, wd) = dims4(x.shape(), "transposed-conv input");
+    let (_, cout, kh, kw) = dims4(w.shape(), "transposed-conv weight");
+    let m = cout * kh * kw;
+    let plane = h * wd;
+    // Wᵀ [(co, u, v), ci]: packed once, shared read-only by every image.
+    let mut apack = arena::scratch_take_raw(kernel::packed_a_len(m, cin));
+    kernel::pack_a_transposed(w.data(), m, cin, &mut apack);
+    let strip_rows = (CONVT_STRIP_COLS / wd.max(1)).clamp(1, h.max(1));
+    let mut out = vec![0.0f32; bsz * cout * oh * ow];
+    let xd = x.data();
+    let bias = bias.map(Tensor::data);
+    dco_parallel::par_chunks_mut(&mut out, cout * oh * ow, |bi, out_img| {
+        let ximg = &xd[bi * cin * plane..(bi + 1) * cin * plane];
+        let mut cols = arena::scratch_take_raw(m * strip_rows * wd);
+        // Strips tile the rows from the top; walk them from the bottom up.
+        let mut end = h;
+        while end > 0 {
+            let iy0 = (end - 1) / strip_rows * strip_rows;
+            let rows = end - iy0;
+            let n = rows * wd;
+            let strip = &mut cols[..m * n];
+            kernel::gemm_fused_b(m, cin, n, &apack, None, strip, |jt, chunk, klen, panel| {
+                plane_fill_panel(ximg, plane, iy0 * wd, n, jt, chunk, klen, panel);
+            });
+            convt_scatter_strip(
+                strip,
+                (cout, oh, ow),
+                (kh, kw),
+                stride,
+                pad,
+                (iy0, rows, wd),
+                out_img,
+            );
+            end = iy0;
+        }
+        arena::scratch_give(cols);
+        if let Some(bias) = bias {
+            for (out_plane, &bv) in out_img.chunks_mut((oh * ow).max(1)).zip(bias) {
+                for v in out_plane {
+                    *v += bv;
+                }
+            }
+        }
+    });
+    arena::scratch_give(apack);
+    Tensor::from_vec(out, &[bsz, cout, oh, ow])
+}
+
 /// 2D transposed convolution forward pass (upsampling), lowered to packed
 /// GEMM.
 ///
 /// Weight layout is `[C_in, C_out, KH, KW]`: read as a
-/// `[C_in, C_out·KH·KW]` matrix `W`, its transpose `Wᵀ` is packed once per
-/// call, and `Wᵀ · X` over the image's `[C_in, H·W]` plane stack holds every
-/// tap's contribution: `out += scatter(Wᵀ · X[:, strip])`. Each image runs
-/// strip by strip (a few input rows, about 512 pixels), so the
-/// column buffer stays small; the B panels are read straight from the input
-/// planes. The bias is added last.
+/// `[C_in, C_out·KH·KW]` matrix `W`, `Wᵀ · X` over the image's
+/// `[C_in, H·W]` plane stack holds every tap's contribution:
+/// `out = scatter(Wᵀ · X) + bias`. It runs strip by strip (a few input
+/// rows, about 512 pixels), on the loop that also computes
+/// [`conv2d_backward_input`], so the column buffer stays small; the B
+/// panels are read straight from the input planes.
 ///
-/// Exactness: every tap is a k-ascending GEMM sum over input channels.
-/// When `KH = KW = stride` and `pad = 0` (the model's up-convolutions)
-/// each output pixel receives exactly one tap, so for `C_in ≤ KC` it is
+/// Exactness: the result is bitwise that of the whole-image
+/// `col2im(Wᵀ · X)` lowering, whatever the strip size. When
+/// `KH = KW = stride` and `pad = 0` (the model's up-convolutions) each
+/// output pixel receives exactly one tap, so for `C_in ≤ KC` it is also
 /// the channel-ascending sum of the scalar scatter loop this replaced, bit
 /// for bit (that loop skipped zero inputs, but a zero product cannot change
-/// a sum that starts from `+0.0`). Overlapping kernels scatter-add several
-/// taps and agree with that loop to rounding.
+/// a sum that starts from `+0.0`). Overlapping kernels agree with that
+/// loop to rounding.
 ///
 /// Parallelism: batch images are independent tasks with a fixed
 /// per-element order, so results are bitwise identical at any
@@ -621,7 +681,7 @@ pub fn conv_transpose2d_forward(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    let (bsz, cin, h, wd) = dims4(x.shape(), "convT input");
+    let (_, cin, h, wd) = dims4(x.shape(), "convT input");
     let (cin2, cout, kh, kw) = dims4(w.shape(), "convT weight");
     assert_eq!(cin, cin2, "convT channel mismatch");
     if let Some(bias) = b {
@@ -629,48 +689,7 @@ pub fn conv_transpose2d_forward(
     }
     let oh = convt_out_size(h, kh, stride, pad);
     let ow = convt_out_size(wd, kw, stride, pad);
-    let m = cout * kh * kw;
-    let plane = h * wd;
-    // Wᵀ [(co, u, v), ci]: packed once, shared read-only by every image.
-    let mut apack = arena::scratch_take_raw(kernel::packed_a_len(m, cin));
-    kernel::pack_a_transposed(w.data(), m, cin, &mut apack);
-    let strip_rows = (CONVT_STRIP_COLS / wd.max(1)).clamp(1, h.max(1));
-    let mut out = vec![0.0f32; bsz * cout * oh * ow];
-    let xd = x.data();
-    dco_parallel::par_chunks_mut(&mut out, cout * oh * ow, |bi, out_img| {
-        let ximg = &xd[bi * cin * plane..(bi + 1) * cin * plane];
-        let mut cols = arena::scratch_take_raw(m * strip_rows * wd);
-        let mut iy0 = 0;
-        while iy0 < h {
-            let rows = strip_rows.min(h - iy0);
-            let n = rows * wd;
-            let strip = &mut cols[..m * n];
-            kernel::gemm_fused_b(m, cin, n, &apack, None, strip, |jt, chunk, klen, panel| {
-                plane_fill_panel(ximg, plane, iy0 * wd, n, jt, chunk, klen, panel);
-            });
-            convt_scatter_strip(
-                strip,
-                (cout, oh, ow),
-                (kh, kw),
-                stride,
-                pad,
-                (iy0, rows, wd),
-                out_img,
-            );
-            iy0 += rows;
-        }
-        arena::scratch_give(cols);
-    });
-    arena::scratch_give(apack);
-    if let Some(bias) = b {
-        for (plane_idx, out_plane) in out.chunks_mut(oh * ow).enumerate() {
-            let bv = bias.data()[plane_idx % cout];
-            for v in out_plane {
-                *v += bv;
-            }
-        }
-    }
-    Tensor::from_vec(out, &[bsz, cout, oh, ow])
+    convt_strips(x, w, stride, pad, (oh, ow), b)
 }
 
 /// Input gradient of [`conv_transpose2d_forward`]. A transposed
@@ -806,13 +825,83 @@ pub fn maxpool2d_backward(indices: &[u32], input_shape: &[usize], gy: &Tensor) -
 mod tests {
     use super::*;
 
-    /// The kernels the split backward and the packed transposed
-    /// convolution replaced, kept verbatim as bitwise references.
+    /// The kernels the split backward, the packed transposed convolution
+    /// and the strip loop replaced, kept verbatim as bitwise references.
     mod reference {
         use super::super::*;
 
-        /// The combined conv2d backward: `(grad_x, grad_w, grad_b)` from one
-        /// per-image pass.
+        /// Fold columns `[C*KH*KW, OH*OW]` back into an image `[C, H, W]`,
+        /// accumulating overlapping contributions (adjoint of [`im2col_into`]).
+        pub fn col2im_into(
+            data: &[f32],
+            (c, h, w): (usize, usize, usize),
+            (kh, kw): (usize, usize),
+            stride: usize,
+            pad: usize,
+            img: &mut [f32],
+        ) {
+            let oh = conv_out_size(h, kh, stride, pad);
+            let ow = conv_out_size(w, kw, stride, pad);
+            let ncols = oh * ow;
+            for ci in 0..c {
+                for u in 0..kh {
+                    for v in 0..kw {
+                        let row = (ci * kh + u) * kw + v;
+                        let src = &data[row * ncols..(row + 1) * ncols];
+                        for oy in 0..oh {
+                            let iy = (oy * stride + u) as isize - pad as isize;
+                            if iy < 0 || iy >= h as isize {
+                                continue;
+                            }
+                            for ox in 0..ow {
+                                let ix = (ox * stride + v) as isize - pad as isize;
+                                if ix < 0 || ix >= w as isize {
+                                    continue;
+                                }
+                                img[(ci * h + iy as usize) * w + ix as usize] += src[oy * ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The whole-image conv2d input gradient: `col2im(Wᵀ · ∂L/∂Y)`
+        /// through one `C_in·KH·KW × OH·OW` column buffer per image.
+        pub fn conv2d_backward_input(
+            x_shape: &[usize],
+            w: &Tensor,
+            stride: usize,
+            pad: usize,
+            gy: &Tensor,
+        ) -> Tensor {
+            let (bsz, cin, h, wd) = dims4(x_shape, "conv2d input");
+            let (cout, _, kh, kw) = dims4(w.shape(), "conv2d weight");
+            let oh = conv_out_size(h, kh, stride, pad);
+            let ow = conv_out_size(wd, kw, stride, pad);
+            let kdim = cin * kh * kw;
+            let nsp = oh * ow;
+            let mut apack_wt = arena::scratch_take_raw(kernel::packed_a_len(kdim, cout));
+            kernel::pack_a_transposed(w.data(), kdim, cout, &mut apack_wt);
+            let per_out = cout * nsp;
+            let mut gx = vec![0.0f32; bsz * cin * h * wd];
+            let gyd = gy.data();
+            dco_parallel::par_chunks_mut(&mut gx, cin * h * wd, |bi, gx_img| {
+                let gyb = &gyd[bi * per_out..(bi + 1) * per_out];
+                let mut bpack_gy = arena::scratch_take_raw(kernel::packed_b_len(cout, nsp));
+                kernel::pack_b(gyb, cout, nsp, &mut bpack_gy);
+                let mut gcols = arena::scratch_take_raw(kdim * nsp);
+                kernel::gemm_prepacked(kdim, cout, nsp, &apack_wt, &bpack_gy, None, &mut gcols);
+                arena::scratch_give(bpack_gy);
+                col2im_into(&gcols, (cin, h, wd), (kh, kw), stride, pad, gx_img);
+                arena::scratch_give(gcols);
+            });
+            arena::scratch_give(apack_wt);
+            Tensor::from_vec(gx, x_shape)
+        }
+
+        /// The combined conv2d backward: `(grad_x, grad_w, grad_b)`, the
+        /// weight and bias gradients from one per-image pass.
         pub fn conv2d_backward(
             x: &Tensor,
             w: &Tensor,
@@ -826,42 +915,22 @@ mod tests {
             let ow = conv_out_size(wd, kw, stride, pad);
             let kdim = cin * kh * kw;
             let nsp = oh * ow;
-            let mut apack_wt = arena::scratch_take_raw(kernel::packed_a_len(kdim, cout));
-            kernel::pack_a_transposed(w.data(), kdim, cout, &mut apack_wt);
-            let per_img = cin * h * wd;
             let per_out = cout * nsp;
-            let mut gx = vec![0.0f32; x.len()];
-            let xd = x.data();
             let gyd = gy.data();
             let parts: Vec<(Vec<f32>, Vec<f32>)> =
-                dco_parallel::par_chunks_mut(&mut gx, per_img, |bi, gx_img| {
+                dco_parallel::par_chunks(x.data(), cin * h * wd, |bi, ximg| {
                     let gyb = &gyd[bi * per_out..(bi + 1) * per_out];
                     let mut gb_img = vec![0.0f32; cout];
                     for (co, gbv) in gb_img.iter_mut().enumerate() {
                         *gbv = gyb[co * nsp..(co + 1) * nsp].iter().sum::<f32>();
                     }
                     let mut cols = arena::scratch_take_raw(kdim * nsp);
-                    im2col_into(
-                        &xd[bi * per_img..(bi + 1) * per_img],
-                        (cin, h, wd),
-                        (kh, kw),
-                        stride,
-                        pad,
-                        &mut cols,
-                    );
+                    im2col_into(ximg, (cin, h, wd), (kh, kw), stride, pad, &mut cols);
                     let mut gw_img = vec![0.0f32; cout * kdim];
                     kernel::gemm_bt(cout, nsp, kdim, gyb, &cols, &mut gw_img);
                     arena::scratch_give(cols);
-                    let mut bpack_gy = arena::scratch_take_raw(kernel::packed_b_len(cout, nsp));
-                    kernel::pack_b(gyb, cout, nsp, &mut bpack_gy);
-                    let mut gcols = arena::scratch_take_raw(kdim * nsp);
-                    kernel::gemm_prepacked(kdim, cout, nsp, &apack_wt, &bpack_gy, None, &mut gcols);
-                    arena::scratch_give(bpack_gy);
-                    col2im_into(&gcols, (cin, h, wd), (kh, kw), stride, pad, gx_img);
-                    arena::scratch_give(gcols);
                     (gw_img, gb_img)
                 });
-            arena::scratch_give(apack_wt);
             let mut gw = Tensor::zeros(&[cout, kdim]);
             let mut gb = Tensor::zeros(&[cout]);
             for (gw_img, gb_img) in parts {
@@ -873,7 +942,7 @@ mod tests {
                 }
             }
             (
-                Tensor::from_vec(gx, x.shape()),
+                conv2d_backward_input(x.shape(), w, stride, pad, gy),
                 gw.reshaped(&[cout, cin, kh, kw]),
                 gb,
             )
@@ -1244,12 +1313,24 @@ mod tests {
 
     #[test]
     fn conv2d_split_backward_matches_combined_bitwise() {
+        // A strip is 512 / OW output-gradient rows; the last five shapes
+        // span several strips with a partial last one.
         for &(bsz, cin, h, w, cout, k, stride, pad) in &[
             (
                 1usize, 3usize, 5usize, 7usize, 4usize, 3usize, 1usize, 1usize,
             ),
             (2, 2, 9, 11, 5, 3, 2, 1),
             (3, 4, 7, 5, 6, 1, 1, 0),
+            // strips of 12 rows: 12 + 12 + 12 + 9
+            (2, 3, 45, 40, 4, 3, 1, 1),
+            // stride 2 leaves the last input row and column unread: 15 + 9
+            (2, 3, 50, 70, 5, 3, 2, 0),
+            // pad 2 with a 5×5 kernel: 15 + 15 + 1
+            (1, 2, 31, 33, 3, 5, 1, 2),
+            // 1×1: 17 + 17 + 6
+            (2, 5, 40, 30, 3, 1, 1, 0),
+            // C_out > KC: two K chunks per tap
+            (1, 2, 20, 40, 300, 3, 1, 1),
         ] {
             let x = fixture(&[bsz, cin, h, w], 0.41);
             let wt = fixture(&[cout, cin, k, k], 0.23);
@@ -1262,6 +1343,33 @@ mod tests {
             assert_same_bits("conv2d grad_x", &gx_split, &gx);
             assert_same_bits("conv2d grad_w", &gw_split, &gw);
             assert_same_bits("conv2d grad_b", &bias_chan_backward(&gy), &gb);
+        }
+    }
+
+    #[test]
+    fn convt_forward_matches_whole_image_lowering_bitwise_when_taps_overlap() {
+        // A transposed convolution is the input gradient of the conv2d
+        // with the same weights, so the whole-image `col2im(Wᵀ · X)` of
+        // that gradient is its reference. Every shape overlaps taps across
+        // several strips with a partial last one.
+        for &(bsz, cin, cout, h, w, k, stride, pad) in &[
+            // strips of 17 rows: 17 + 17 + 6
+            (
+                2usize, 3usize, 4usize, 40usize, 30usize, 3usize, 2usize, 1usize,
+            ),
+            // stride 1, pad 1: the contiguous-run scatter, 25 + 20
+            (1, 2, 3, 45, 20, 3, 1, 1),
+            // stride 1, pad 0: 21 + 9
+            (1, 2, 5, 30, 24, 3, 1, 0),
+        ] {
+            let x = fixture(&[bsz, cin, h, w], 0.29);
+            let wt = fixture(&[cin, cout, k, k], 0.53);
+            let oh = convt_out_size(h, k, stride, pad);
+            let ow = convt_out_size(w, k, stride, pad);
+            let fast = conv_transpose2d_forward(&x, &wt, None, stride, pad);
+            let whole =
+                reference::conv2d_backward_input(&[bsz, cout, oh, ow], &wt, stride, pad, &x);
+            assert_same_bits("convT forward", &fast, &whole);
         }
     }
 

@@ -942,6 +942,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "conv_transpose2d: kernel [1, 1, 3, 3] at stride 1, pad 2 leaves no output for input [1, 1, 1, 1]"
+    )]
+    fn conv_transpose2d_builder_rejects_an_output_cropped_to_nothing() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::zeros(&[1, 1, 1, 1]));
+        let w = g.input(Tensor::zeros(&[1, 1, 3, 3]));
+        g.conv_transpose2d(x, w, None, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d: stride must be positive, got 0")]
+    fn conv2d_builder_rejects_stride_zero() {
+        let mut g = Graph::new();
+        let x = g.input(Tensor::zeros(&[1, 1, 4, 4]));
+        let w = g.input(Tensor::zeros(&[1, 1, 3, 3]));
+        g.conv2d(x, w, None, 0, 1);
+    }
+
+    #[test]
     #[should_panic(expected = "backward target must be scalar")]
     fn backward_rejects_non_scalar() {
         let mut g = Graph::new();

@@ -369,6 +369,35 @@ mod tests {
     }
 
     #[test]
+    fn stale_leaf_under_conv_transpose_is_an_error() {
+        // A 3×3 input gives a 1×1 output at stride 1, pad 2; shrunk to 1×1
+        // the padding crops the output to nothing.
+        let mut g = Graph::new();
+        let x = g.param(Tensor::ones(&[1, 1, 3, 3]));
+        let w = g.input(Tensor::ones(&[1, 1, 3, 3]));
+        let y = g.conv_transpose2d(x, w, None, 1, 2);
+        let root = g.sum_all(y);
+        g.set_leaf(x, Tensor::ones(&[1, 1, 1, 1]));
+        let first = g
+            .validate(root)
+            .into_iter()
+            .find(|d| d.kind == DiagnosticKind::ShapeMismatch)
+            .expect("a shape mismatch");
+        assert_eq!(
+            (first.node, first.op.as_str()),
+            (y.index(), "conv_transpose2d")
+        );
+        assert_eq!(first.severity, Severity::Error);
+        assert!(
+            first
+                .message
+                .contains("leaves no output for input [1, 1, 1, 1]"),
+            "{}",
+            first.message
+        );
+    }
+
+    #[test]
     fn unreachable_param_and_dead_node_flagged() {
         let mut g = Graph::new();
         let x = g.param(Tensor::scalar(1.0));

@@ -7,7 +7,8 @@
 //! finite-difference check replays exactly the code the optimizers run.
 
 use crate::conv::{
-    conv2d_forward, conv_out_size, conv_transpose2d_forward, convt_out_size, maxpool2d_forward,
+    checked_convt_out_size, conv2d_forward, conv_out_size, conv_transpose2d_forward,
+    maxpool2d_forward,
 };
 use crate::{Csr, CustomOp, Tensor, Var};
 use std::rc::Rc;
@@ -86,6 +87,15 @@ fn check_bias(b: Option<&[usize]>, c_out: usize) -> Result<(), String> {
         Some(sb) if *sb != [c_out] => Err(format!("bias {sb:?} must be [{c_out}]")),
         _ => Ok(()),
     }
+}
+
+/// A convolution's stride must be positive: conv2d's output size divides
+/// by it, and a transposed convolution at stride 0 would stack every tap.
+fn check_stride(stride: usize) -> Result<(), String> {
+    if stride == 0 {
+        return Err("stride must be positive, got 0".to_string());
+    }
+    Ok(())
 }
 
 impl Op {
@@ -227,6 +237,7 @@ impl Op {
                     return Err(format!("channel mismatch: x {sx:?} vs w {sw:?}"));
                 }
                 check_bias(b.map(&shape), co)?;
+                check_stride(stride)?;
                 if h + 2 * pad < kh || wd + 2 * pad < kw {
                     return Err(format!("kernel {sw:?} exceeds padded input {sx:?}"));
                 }
@@ -248,8 +259,14 @@ impl Op {
                     return Err(format!("channel mismatch: x {sx:?} vs w {sw:?}"));
                 }
                 check_bias(b.map(&shape), co)?;
-                let size = |i, k| convt_out_size(i, k, stride, pad);
-                vec![n, co, size(h, kh), size(wd, kw)]
+                check_stride(stride)?;
+                let size = |i, k| checked_convt_out_size(i, k, stride, pad);
+                let (Some(oh), Some(ow)) = (size(h, kh), size(wd, kw)) else {
+                    return Err(format!(
+                        "kernel {sw:?} at stride {stride}, pad {pad} leaves no output for input {sx:?}"
+                    ));
+                };
+                vec![n, co, oh, ow]
             }
             Op::MaxPool2d { x, k, .. } => match *shape(x) {
                 [n, c, h, w] if k > 0 && h % k == 0 && w % k == 0 => vec![n, c, h / k, w / k],

@@ -56,11 +56,13 @@ fn test_design() -> Design {
 
 #[test]
 fn conv2d_forward_and_backward_are_thread_invariant() {
+    // Batch 2 (one task per image); the input gradient's strips of 12
+    // rows of 40 pixels cover the 45 rows as 12 + 12 + 12 + 9.
     let x = Tensor::from_vec(
-        (0..2 * 3 * 20 * 20)
+        (0..2 * 3 * 45 * 40)
             .map(|i| ((i as f32) * 0.59).sin())
             .collect(),
-        &[2, 3, 20, 20],
+        &[2, 3, 45, 40],
     );
     let w = Tensor::from_vec(
         (0..5 * 3 * 9).map(|i| ((i as f32) * 0.31).cos()).collect(),
