@@ -43,7 +43,7 @@
 use dco3d::{DcoConfig, DcoOptimizer, SmoothDensity, SoftRasterizer};
 use dco_features::{DieFeatures, FeatureExtractor, SoftAssignment};
 use dco_flow::{FlowConfig, FlowKind, FlowRunner, IncrementalEval, Predictor};
-use dco_gnn::{build_adjacency, build_node_features, Gcn, GcnConfig};
+use dco_gnn::{build_adjacency, build_node_features, Gcn};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::{Design, GcellGrid};
 use dco_place::{fm_bipartition, legalize, GlobalPlacer, PlacementParams};
@@ -514,7 +514,7 @@ fn main() {
                     &unet,
                     &norm,
                     features.clone(),
-                    Gcn::new(GcnConfig::default(), 11),
+                    Gcn::new(11),
                     dco_cfg.clone(),
                 );
                 dco.run(&placed)
@@ -590,8 +590,7 @@ fn main() {
         let incr_design = bench_design(0.03);
         let incr_placed = GlobalPlacer::new(&incr_design).place(&params, 11);
         let moved = incremental_delta(&incr_design, &incr_placed);
-        let mut session =
-            IncrementalEval::new(&incr_design, RouterConfig::default(), &predictor, 224);
+        let mut session = IncrementalEval::new(&incr_design, &predictor, 224);
         let _ = session.eval(&incr_placed); // warm the caches
         let mut incr_ms = f64::INFINITY;
         for target in [&moved, &incr_placed, &moved, &incr_placed] {
@@ -602,8 +601,7 @@ fn main() {
             // bench-timed: end
             assert!(r.incremental, "session must take the incremental path");
         }
-        let mut fresh =
-            IncrementalEval::new(&incr_design, RouterConfig::default(), &predictor, 224);
+        let mut fresh = IncrementalEval::new(&incr_design, &predictor, 224);
         let mut full_ms = f64::INFINITY;
         for _ in 0..2 {
             // bench-timed: full-reeval
@@ -785,7 +783,7 @@ fn main() {
         ));
         let timing = sta.analyze(&placed, Some(&routed.net_lengths), Some(&routed.net_bonds));
         let node_features = build_node_features(&design, &placed, &timing);
-        let adj = Rc::new(build_adjacency(&design, 48));
+        let adj = Rc::new(build_adjacency(&design));
         entries.push(sweep(
             "gcn_forward",
             &threads,
@@ -793,7 +791,7 @@ fn main() {
             || {
                 // `forward` binds the weights into the tape, so each run
                 // takes a fresh (small) model.
-                let mut gcn = Gcn::new(GcnConfig::default(), 11);
+                let mut gcn = Gcn::new(11);
                 let mut g = Graph::new();
                 let x = g.input(node_features.clone());
                 let out = gcn.forward(&mut g, Rc::clone(&adj), x);

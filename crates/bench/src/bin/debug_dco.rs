@@ -3,7 +3,7 @@
 
 use dco3d::{DcoConfig, DcoOptimizer};
 use dco_flow::{train_predictor, FlowConfig};
-use dco_gnn::{build_node_features, Gcn, GcnConfig};
+use dco_gnn::{build_node_features, Gcn};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_place::{legalize, GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
@@ -49,18 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         use dco3d::SoftRasterizer;
         use dco_features::SoftAssignment;
         use dco_flow::build_dataset;
-        use dco_route::RouterConfig as RC;
         use std::rc::Rc;
-        let data = build_dataset(
-            &design,
-            2,
-            cfg.map_size,
-            &RC {
-                rrr_iterations: 2,
-                ..RC::default()
-            },
-            seed,
-        );
+        let data = build_dataset(&design, 2, cfg.map_size, &cfg.stage_router, seed);
         let s0 = &data[0];
         let f0 = predictor.normalization.features_tensor(&s0.features[0]);
         let f1 = predictor.normalization.features_tensor(&s0.features[1]);
@@ -132,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &predictor.unet,
         &predictor.normalization,
         features,
-        Gcn::new(GcnConfig::default(), seed),
+        Gcn::new(seed),
         dco_cfg,
     );
     let result = dco.run(&base);

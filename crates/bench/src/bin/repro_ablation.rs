@@ -15,7 +15,7 @@
 
 use dco3d::{DcoConfig, DcoOptimizer};
 use dco_flow::{train_predictor, FlowConfig, FlowKind, FlowRunner};
-use dco_gnn::{build_node_features, Gcn, GcnConfig};
+use dco_gnn::{build_node_features, Gcn};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::Placement3;
 use dco_route::Router;
@@ -131,7 +131,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         let features = build_node_features(&design, &place.placement, &timing);
         let (unet, norm) = (&predictor.unet, &predictor.normalization);
-        let gcn = Gcn::new(GcnConfig::default(), seed);
+        let gcn = Gcn::new(seed);
         let spreaders = [
             (
                 "GNN spreader   ",

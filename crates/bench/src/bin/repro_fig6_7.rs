@@ -97,7 +97,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &design.floorplan.die,
             &SvgOptions {
                 congestion: Some([outcome.congestion[0].clone(), outcome.congestion[1].clone()]),
-                ..SvgOptions::default()
             },
         );
         std::fs::write(format!("target/fig6_7/{label}_layout.svg"), svg)?;

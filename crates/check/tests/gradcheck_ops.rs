@@ -377,7 +377,7 @@ fn two_cluster_netlist() -> dco_netlist::Netlist {
 #[test]
 fn cutsize_loss_gradcheck() {
     let nl = two_cluster_netlist();
-    let cs = CutsizeLoss::new(&nl, 32);
+    let cs = CutsizeLoss::new(&nl);
     let report = gradcheck_fn(
         |g| {
             let z = g.param(Tensor::from_vec(

@@ -30,7 +30,7 @@
 mod args;
 
 use args::Args;
-use dco3d::{DcoConfig, DcoOptimizer};
+use dco3d::DcoConfig;
 use dco_flow::serve::{
     predict_result, prediction_checksum, Bind, ServeOptions, WarmState, DEFAULT_MAX_LINE_BYTES,
 };
@@ -38,7 +38,6 @@ use dco_flow::{
     format_design_block, train_predictor, train_predictor_resilient, CheckpointError, FaultSpec,
     FlowConfig, FlowError, FlowKind, FlowRunner, Predictor, ResilienceOptions,
 };
-use dco_gnn::{build_node_features, Gcn, GcnConfig};
 use dco_netlist::bookshelf;
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::Design;
@@ -418,30 +417,27 @@ fn cmd_train(args: &Args) -> CliResult {
     Ok(0)
 }
 
+/// `dco3d dco` — the flow's DCO stage ([`FlowRunner::dco_optimizer`]) from
+/// the DCO-3D flow's global placement at `--seed`, at the map size and UNet
+/// width of the `--predictor` bundle; reports the routed overflow of the
+/// legalized placement before and after.
 fn cmd_dco(args: &Args) -> CliResult {
     let design = load_design(args)?;
     let seed = args.get("seed", 1u64);
     let predictor_path = args.get_str("predictor", "predictor.json");
-    let (unet, norm) = load_predictor(&predictor_path)?;
-    let params = PlacementParams::pin3d_baseline();
-    let before = GlobalPlacer::new(&design).place(&params, seed);
-    let timing = Sta::new(&design).analyze(&before, None, None);
-    let features = build_node_features(&design, &before, &timing);
-    let cfg = DcoConfig {
+    let mut cfg = FlowConfig::default();
+    let predictor = load_bundle(args, &predictor_path, &mut cfg)?;
+    let dco_cfg = DcoConfig {
         max_iter: args.get("iters", DcoConfig::default().max_iter),
         enable_z: !args.flag("no-z"),
         validate_graph: args.flag("validate"),
         ..DcoConfig::default()
     };
-    let mut dco = DcoOptimizer::new(
-        &design,
-        &unet,
-        &norm,
-        features,
-        Gcn::new(GcnConfig::default(), seed),
-        cfg,
-    );
-    let result = dco.run(&before);
+    let runner = FlowRunner::new(&design, cfg);
+    let place = runner.stage_place(FlowKind::Dco3d, seed);
+    let result = runner
+        .dco_optimizer(&predictor, &place, seed, dco_cfg)
+        .run(&place.placement);
     if args.flag("validate") {
         println!(
             "graph validation: {} diagnostic(s)",
@@ -451,10 +447,11 @@ fn cmd_dco(args: &Args) -> CliResult {
             println!("  {d}");
         }
     }
-    let mut after = result.placement.clone();
-    legalize(&design, &mut after, params.displacement_threshold);
-    let mut base = before.clone();
-    legalize(&design, &mut base, params.displacement_threshold);
+    let threshold = place.params.displacement_threshold;
+    let mut after = result.placement;
+    legalize(&design, &mut after, threshold);
+    let mut base = place.placement;
+    legalize(&design, &mut base, threshold);
     let router = Router::new(&design, RouterConfig::default());
     let (rb, ra) = (router.route(&base), router.route(&after));
     println!(

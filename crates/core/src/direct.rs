@@ -10,7 +10,7 @@
 //! ablation 4).
 
 use crate::optimizer::Spreader;
-use crate::{DcoConfig, DcoOptimizer};
+use crate::{CutsizeLoss, DcoConfig, DcoOptimizer};
 use dco_netlist::Design;
 use dco_tensor::{Initializer, ParamStore, Tensor};
 use dco_unet::{Normalization, SiameseUNet};
@@ -33,14 +33,25 @@ impl<'a> DcoOptimizer<'a> {
         store.insert("dx", init.uniform(&[n, 1], -0.01, 0.01));
         store.insert("dy", init.uniform(&[n, 1], -0.01, 0.01));
         store.insert("zl", Tensor::zeros(&[n, 1]));
-        Self::with_spreader(design, unet, normalization, Spreader::Direct(store), cfg)
+        let cutsize = CutsizeLoss::new(&design.netlist);
+        Self::with_spreader(
+            design,
+            unet,
+            normalization,
+            Spreader::Direct(store),
+            cutsize,
+            cfg,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::losses::{congestion_loss, overlap_loss, CutsizeLoss};
+    use crate::losses::{congestion_loss, overlap_loss};
+    use crate::optimizer::{
+        CONGESTION_THRESHOLD, CONVERGENCE_TOL, LEARNING_RATE, MAX_DISPLACEMENT_FRAC, TARGET_DENSITY,
+    };
     use crate::{DcoResult, LossBreakdown, SmoothDensity, SoftRasterizer};
     use dco_features::NUM_CHANNELS;
     use dco_netlist::generate::{DesignProfile, GeneratorConfig};
@@ -98,7 +109,7 @@ mod tests {
                 normalization,
                 cfg,
                 store,
-                cutsize: CutsizeLoss::new(&design.netlist, 48),
+                cutsize: CutsizeLoss::new(&design.netlist),
                 raster_grid,
             }
         }
@@ -107,7 +118,7 @@ mod tests {
         pub fn run(&mut self, initial: &Placement3) -> DcoResult {
             let n = self.netlist.num_cells();
             let die = self.design.floorplan.die;
-            let max_disp = (die.width.min(die.height) * self.cfg.max_displacement_frac) as f32;
+            let max_disp = (die.width.min(die.height) * MAX_DISPLACEMENT_FRAC) as f32;
             let x0 = Tensor::from_vec(initial.xs().iter().map(|&v| v as f32).collect(), &[n, 1]);
             let y0 = Tensor::from_vec(initial.ys().iter().map(|&v| v as f32).collect(), &[n, 1]);
             let z_bias = Tensor::from_vec(
@@ -135,7 +146,7 @@ mod tests {
             ));
             let inv_scale = self.channel_inverse_scale();
 
-            let mut opt = Adam::new(self.cfg.learning_rate);
+            let mut opt = Adam::new(LEARNING_RATE);
             let mut history = Vec::with_capacity(self.cfg.max_iter);
             let mut calm = 0usize;
             let mut converged = false;
@@ -182,13 +193,13 @@ mod tests {
                 let label_scale = self.normalization.label_scale.max(1e-9);
                 let c0 = g.mul_scalar(c0, label_scale);
                 let c1 = g.mul_scalar(c1, label_scale);
-                let l_cong = congestion_loss(&mut g, c0, c1, self.cfg.congestion_threshold);
+                let l_cong = congestion_loss(&mut g, c0, c1, CONGESTION_THRESHOLD);
                 let l_cut = self.cutsize.loss(&mut g, z);
                 let dens = g.custom(
                     Rc::clone(&density_op) as Rc<dyn dco_tensor::CustomOp>,
                     &[x, y, z],
                 );
-                let l_ovlp = overlap_loss(&mut g, dens, self.cfg.target_density);
+                let l_ovlp = overlap_loss(&mut g, dens, TARGET_DENSITY);
 
                 let wa = g.mul_scalar(l_disp, self.cfg.alpha);
                 let wb = g.mul_scalar(l_ovlp, self.cfg.beta);
@@ -213,11 +224,7 @@ mod tests {
                 if let Some(prev) = history.last() {
                     let p: &LossBreakdown = prev;
                     let rel = (p.total - breakdown.total).abs() / p.total.abs().max(1e-9);
-                    calm = if rel < self.cfg.convergence_tol {
-                        calm + 1
-                    } else {
-                        0
-                    };
+                    calm = if rel < CONVERGENCE_TOL { calm + 1 } else { 0 };
                 }
                 history.push(breakdown);
                 if calm >= 3 {
@@ -325,7 +332,6 @@ mod tests {
         let (design, unet, norm) = setup();
         let cfg = DcoConfig {
             max_iter: 5,
-            learning_rate: 0.05,
             ..DcoConfig::default()
         };
         let mut opt = DcoOptimizer::direct(&design, &unet, &norm, cfg, 7);
@@ -402,7 +408,7 @@ mod tests {
                 }
             }
 
-            let md = f64::from((side * cfg.max_displacement_frac) as f32);
+            let md = f64::from((side * MAX_DISPLACEMENT_FRAC) as f32);
             let initial = &design.placement;
             for id in design.netlist.cell_ids() {
                 let cell = design.netlist.cell(id);

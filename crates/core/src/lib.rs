@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use dco3d::{DcoConfig, DcoOptimizer};
-//! use dco_gnn::{build_node_features, Gcn, GcnConfig};
+//! use dco_gnn::{build_node_features, Gcn};
 //! use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 //! use dco_unet::{Normalization, SiameseUNet, UNetConfig};
 //!
@@ -40,7 +40,7 @@
 //! let norm = Normalization { channel_scale: [1.0; 7], label_scale: 1.0 };
 //! let timing = dco_timing::Sta::new(&design).analyze(&design.placement, None, None);
 //! let features = build_node_features(&design, &design.placement, &timing);
-//! let gcn = Gcn::new(GcnConfig::default(), 7);
+//! let gcn = Gcn::new(7);
 //! let cfg = DcoConfig { max_iter: 2, ..DcoConfig::default() };
 //! let mut dco = DcoOptimizer::new(&design, &unet, &norm, features, gcn, cfg);
 //! let result = dco.run(&design.placement);

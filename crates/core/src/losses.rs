@@ -14,19 +14,16 @@ pub struct CutsizeLoss {
 
 impl CutsizeLoss {
     /// Build from the netlist's star-expanded signal-net adjacency.
-    pub fn new(netlist: &Netlist, max_net_degree: usize) -> Self {
-        let adj = netlist.star_adjacency(max_net_degree);
-        let n = netlist.num_cells();
-        let mut edges = Vec::new();
+    pub fn new(netlist: &Netlist) -> Self {
+        Self::from_edges(netlist.num_cells(), &netlist.star_edges())
+    }
+
+    /// Build over `n` cells from a [`Netlist::star_edges`] list.
+    pub(crate) fn from_edges(n: usize, edges: &[(usize, usize, f32)]) -> Self {
         let mut deg = vec![0.0f32; n];
-        for (u, peers) in adj.iter().enumerate() {
-            for &(v, w) in peers {
-                if u < v.index() {
-                    edges.push((u, v.index(), w as f32));
-                    deg[u] += w as f32;
-                    deg[v.index()] += w as f32;
-                }
-            }
+        for &(u, v, w) in edges {
+            deg[u] += w;
+            deg[v] += w;
         }
         let total_degree: f32 = deg.iter().sum();
         Self {
@@ -166,7 +163,7 @@ mod tests {
     #[test]
     fn cutsize_loss_prefers_the_natural_partition() {
         let nl = two_cluster_netlist();
-        let cs = CutsizeLoss::new(&nl, 32);
+        let cs = CutsizeLoss::new(&nl);
         let eval = |z: Vec<f32>| {
             let mut g = Graph::new();
             let zv = g.input(Tensor::from_vec(z, &[6, 1]));
@@ -187,7 +184,7 @@ mod tests {
     #[test]
     fn cut_value_matches_combinatorial_cut() {
         let nl = two_cluster_netlist();
-        let cs = CutsizeLoss::new(&nl, 32);
+        let cs = CutsizeLoss::new(&nl);
         // bridge is the only cut edge; its star weight is 1.0
         let cut = cs.cut_value(&[0.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
         assert!((cut - 1.0).abs() < 1e-5, "cut {cut}");
@@ -197,7 +194,7 @@ mod tests {
     #[test]
     fn cutsize_gradient_flows() {
         let nl = two_cluster_netlist();
-        let cs = CutsizeLoss::new(&nl, 32);
+        let cs = CutsizeLoss::new(&nl);
         let mut g = Graph::new();
         let z = g.param(Tensor::from_vec(
             vec![0.4, 0.5, 0.6, 0.5, 0.5, 0.5],

@@ -9,13 +9,27 @@ use dco_tensor::{Adam, Csr, Graph, ParamStore, Tensor, Var};
 use dco_unet::{Normalization, SiameseUNet};
 use std::rc::Rc;
 
+/// Adam learning rate for the spreader's parameters.
+pub(crate) const LEARNING_RATE: f32 = 2e-2;
+/// Maximum (x, y) displacement as a fraction of the die side.
+pub(crate) const MAX_DISPLACEMENT_FRAC: f64 = 0.10;
+/// Target bin density for the overlap loss.
+pub(crate) const TARGET_DENSITY: f32 = 0.8;
+/// Utilization above which predicted congestion is penalized.
+pub(crate) const CONGESTION_THRESHOLD: f32 = 0.85;
+/// Relative loss-change threshold for convergence (3 consecutive hits).
+pub(crate) const CONVERGENCE_TOL: f32 = 1e-5;
+/// Learning-rate multiplier applied on each divergence rollback.
+const LR_BACKOFF: f32 = 0.5;
+/// Displacement-weight boost of a fully critical cell (see
+/// [`DcoOptimizer::set_timing_criticality`]).
+const CRITICALITY_BOOST: f32 = 10.0;
+
 /// DCO hyperparameters (the α, β, γ, δ of Algorithm 2 plus machinery).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DcoConfig {
     /// Maximum optimization iterations.
     pub max_iter: usize,
-    /// Adam learning rate for the GNN parameters.
-    pub learning_rate: f32,
     /// α: displacement-loss weight.
     pub alpha: f32,
     /// β: overlap-loss weight.
@@ -24,14 +38,6 @@ pub struct DcoConfig {
     pub gamma: f32,
     /// δ: congestion-loss weight.
     pub delta: f32,
-    /// Maximum (x, y) displacement as a fraction of the die side.
-    pub max_displacement_frac: f64,
-    /// Target bin density for the overlap loss.
-    pub target_density: f32,
-    /// Utilization above which predicted congestion is penalized.
-    pub congestion_threshold: f32,
-    /// Relative loss-change threshold for convergence (3 consecutive hits).
-    pub convergence_tol: f32,
     /// Allow cross-tier movement (z optimization). Disabling reduces DCO to
     /// a 2D spreader — the paper's motivating ablation.
     pub enable_z: bool,
@@ -44,8 +50,6 @@ pub struct DcoConfig {
     /// (rollback to the last good parameters and retry with a backed-off
     /// learning rate) before degrading to the best-so-far placement.
     pub max_divergence_retries: usize,
-    /// Learning-rate multiplier applied on each divergence rollback.
-    pub lr_backoff: f32,
     /// Fault injection: force the loss non-finite at this attempt index
     /// (testing hook for the divergence guard; `None` in production).
     pub inject_nan_loss_at: Option<usize>,
@@ -60,19 +64,13 @@ impl Default for DcoConfig {
     fn default() -> Self {
         Self {
             max_iter: 40,
-            learning_rate: 2e-2,
             alpha: 1.5,
             beta: 10.0,
             gamma: 2.0,
             delta: 8.0,
-            max_displacement_frac: 0.10,
-            target_density: 0.8,
-            congestion_threshold: 0.85,
-            convergence_tol: 1e-5,
             enable_z: true,
             validate_graph: false,
             max_divergence_retries: 3,
-            lr_backoff: 0.5,
             inject_nan_loss_at: None,
             cancel: dco_parallel::CancelToken::never(),
         }
@@ -202,13 +200,18 @@ impl<'a> DcoOptimizer<'a> {
         gcn: Gcn,
         cfg: DcoConfig,
     ) -> Self {
-        let adj = Rc::new(dco_gnn::build_adjacency(design, 48));
+        // One star expansion feeds both the GCN propagation matrix
+        // (`dco_gnn::build_adjacency`) and the cutsize loss.
+        let n = design.netlist.num_cells();
+        let edges = design.netlist.star_edges();
+        let adj = Rc::new(Csr::gcn_normalized(n, edges.iter().copied()));
         let spreader = Spreader::Gnn {
             gcn,
             node_features,
             adj,
         };
-        Self::with_spreader(design, unet, normalization, spreader, cfg)
+        let cutsize = CutsizeLoss::from_edges(n, &edges);
+        Self::with_spreader(design, unet, normalization, spreader, cutsize, cfg)
     }
 
     /// The shared constructor behind [`DcoOptimizer::new`] and
@@ -218,6 +221,7 @@ impl<'a> DcoOptimizer<'a> {
         unet: &'a SiameseUNet,
         normalization: &'a Normalization,
         spreader: Spreader,
+        cutsize: CutsizeLoss,
         cfg: DcoConfig,
     ) -> Self {
         let size = unet.config().size;
@@ -235,7 +239,7 @@ impl<'a> DcoOptimizer<'a> {
             normalization,
             cfg,
             spreader,
-            cutsize: CutsizeLoss::new(&design.netlist, 48),
+            cutsize,
             raster_grid,
             disp_weights: Tensor::ones(&[n, 1]),
         }
@@ -251,15 +255,15 @@ impl<'a> DcoOptimizer<'a> {
     }
 
     /// Anchor timing-critical cells harder: per-cell displacement weight
-    /// `1 + boost · criticality`, with criticality = `clamp(-slack /
+    /// `1 + 10 · criticality`, with criticality = `clamp(-slack /
     /// clock_period, 0, 1)`. Cells with healthy slack keep weight 1.
-    pub fn set_timing_criticality(&mut self, cell_slack_ps: &[f64], boost: f32) {
+    pub fn set_timing_criticality(&mut self, cell_slack_ps: &[f64]) {
         let period = self.design.technology.clock_period_ps.max(1e-9);
         let n = self.netlist.num_cells();
         assert_eq!(cell_slack_ps.len(), n, "slack vector length mismatch");
         let w: Vec<f32> = cell_slack_ps
             .iter()
-            .map(|&s| 1.0 + boost * ((-s / period).clamp(0.0, 1.0) as f32))
+            .map(|&s| 1.0 + CRITICALITY_BOOST * ((-s / period).clamp(0.0, 1.0) as f32))
             .collect();
         self.disp_weights = Tensor::from_vec(w, &[n, 1]);
     }
@@ -269,7 +273,7 @@ impl<'a> DcoOptimizer<'a> {
     pub fn run(&mut self, initial: &Placement3) -> DcoResult {
         let n = self.netlist.num_cells();
         let die = self.design.floorplan.die;
-        let max_disp = (die.width.min(die.height) * self.cfg.max_displacement_frac) as f32;
+        let max_disp = (die.width.min(die.height) * MAX_DISPLACEMENT_FRAC) as f32;
 
         let x0 = Tensor::from_vec(initial.xs().iter().map(|&v| v as f32).collect(), &[n, 1]);
         let y0 = Tensor::from_vec(initial.ys().iter().map(|&v| v as f32).collect(), &[n, 1]);
@@ -303,7 +307,7 @@ impl<'a> DcoOptimizer<'a> {
         // matches the UNet's training normalization
         let inv_scale = self.channel_inverse_scale();
 
-        let mut lr = self.cfg.learning_rate;
+        let mut lr = LEARNING_RATE;
         let mut opt = Adam::new(lr);
         let mut history: Vec<LossBreakdown> = Vec::with_capacity(self.cfg.max_iter);
         let mut calm_iters = 0usize;
@@ -340,13 +344,13 @@ impl<'a> DcoOptimizer<'a> {
             let label_scale = self.normalization.label_scale.max(1e-9);
             let c0 = g.mul_scalar(c0, label_scale);
             let c1 = g.mul_scalar(c1, label_scale);
-            let l_cong = congestion_loss(&mut g, c0, c1, self.cfg.congestion_threshold);
+            let l_cong = congestion_loss(&mut g, c0, c1, CONGESTION_THRESHOLD);
             let l_cut = self.cutsize.loss(&mut g, z);
             let dens = g.custom(
                 Rc::clone(&density_op) as Rc<dyn dco_tensor::CustomOp>,
                 &[x, y, z],
             );
-            let l_ovlp = overlap_loss(&mut g, dens, self.cfg.target_density);
+            let l_ovlp = overlap_loss(&mut g, dens, TARGET_DENSITY);
 
             let wa = g.mul_scalar(l_disp, self.cfg.alpha);
             let wb = g.mul_scalar(l_ovlp, self.cfg.beta);
@@ -391,7 +395,7 @@ impl<'a> DcoOptimizer<'a> {
                 divergence_events += 1;
                 dco_obs::counter_add("dco.rollbacks", 1);
                 store.restore(&last_good);
-                lr *= self.cfg.lr_backoff;
+                lr *= LR_BACKOFF;
                 opt = Adam::new(lr);
                 calm_iters = 0;
                 if divergence_events > self.cfg.max_divergence_retries {
@@ -410,7 +414,7 @@ impl<'a> DcoOptimizer<'a> {
 
             if let Some(prev) = history.last() {
                 let rel = (prev.total - breakdown.total).abs() / prev.total.abs().max(1e-9);
-                if rel < self.cfg.convergence_tol {
+                if rel < CONVERGENCE_TOL {
                     calm_iters += 1;
                 } else {
                     calm_iters = 0;
@@ -530,7 +534,7 @@ impl<'a> DcoOptimizer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dco_gnn::{build_node_features, Gcn, GcnConfig};
+    use dco_gnn::{build_node_features, Gcn};
     use dco_netlist::generate::{DesignProfile, GeneratorConfig};
     use dco_unet::{Normalization, SiameseUNet, UNetConfig};
 
@@ -562,14 +566,7 @@ mod tests {
     ) -> DcoOptimizer<'a> {
         let timing = dco_timing::Sta::new(design).analyze(&design.placement, None, None);
         let features = build_node_features(design, &design.placement, &timing);
-        DcoOptimizer::new(
-            design,
-            unet,
-            norm,
-            features,
-            Gcn::new(GcnConfig::default(), 5),
-            cfg,
-        )
+        DcoOptimizer::new(design, unet, norm, features, Gcn::new(5), cfg)
     }
 
     /// [`optimizer`] and the per-cell baseline over the same inputs.
@@ -625,13 +622,12 @@ mod tests {
     #[test]
     fn displacement_stays_bounded() {
         let (design, unet, norm) = setup();
-        let frac = 0.1;
         let cfg = DcoConfig {
             max_iter: 5,
-            max_displacement_frac: frac,
             ..DcoConfig::default()
         };
-        let max_d = design.floorplan.die.width.min(design.floorplan.die.height) * frac;
+        let max_d =
+            design.floorplan.die.width.min(design.floorplan.die.height) * MAX_DISPLACEMENT_FRAC;
         for mut dco in both_spreaders(&design, &unet, &norm, cfg) {
             let result = dco.run(&design.placement);
             for id in design.netlist.cell_ids() {

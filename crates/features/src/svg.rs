@@ -6,26 +6,17 @@ use crate::GridMap;
 use dco_netlist::{CellClass, Netlist, Placement3, Tier};
 use std::fmt::Write as _;
 
+/// Pixels per micron.
+const SCALE: f64 = 12.0;
+/// Gap between the two die panels, in pixels.
+const PANEL_GAP: f64 = 24.0;
+
 /// Rendering options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SvgOptions {
-    /// Pixels per micron.
-    pub scale: f64,
     /// Optional per-die congestion maps `[bottom, top]` drawn under the
     /// cells as a translucent heatmap.
     pub congestion: Option<[GridMap; 2]>,
-    /// Gap between the two die panels, in pixels.
-    pub panel_gap: f64,
-}
-
-impl Default for SvgOptions {
-    fn default() -> Self {
-        Self {
-            scale: 12.0,
-            congestion: None,
-            panel_gap: 24.0,
-        }
-    }
 }
 
 /// Render both dies of a placement as one SVG document.
@@ -40,16 +31,16 @@ pub fn render_layout_svg(
     die: &dco_netlist::Die,
     options: &SvgOptions,
 ) -> String {
-    let s = options.scale;
+    let s = SCALE;
     let (pw, ph) = (die.width * s, die.height * s);
-    let total_w = pw * 2.0 + options.panel_gap;
+    let total_w = pw * 2.0 + PANEL_GAP;
     let mut out = String::new();
     let _ = writeln!(
         out,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.0} {:.0}">"#,
         total_w, ph, total_w, ph
     );
-    for (tier, x_off) in [(Tier::Bottom, 0.0), (Tier::Top, pw + options.panel_gap)] {
+    for (tier, x_off) in [(Tier::Bottom, 0.0), (Tier::Top, pw + PANEL_GAP)] {
         let _ = writeln!(
             out,
             r##"<rect x="{x_off:.1}" y="0" width="{pw:.1}" height="{ph:.1}" fill="#fafafa" stroke="#444"/>"##
@@ -157,7 +148,6 @@ mod tests {
             &d.floorplan.die,
             &SvgOptions {
                 congestion: Some([hot.clone(), hot]),
-                ..SvgOptions::default()
             },
         );
         assert!(with_heat.matches("<rect").count() > plain.matches("<rect").count());

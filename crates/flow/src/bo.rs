@@ -4,6 +4,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// RBF kernel length scale.
+const LENGTH_SCALE: f64 = 0.5;
+/// Observation noise (jitter) added to the kernel diagonal.
+const NOISE: f64 = 1e-4;
+
 /// BO tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoConfig {
@@ -13,10 +18,6 @@ pub struct BoConfig {
     pub iterations: usize,
     /// Candidate pool size per acquisition maximization.
     pub candidates: usize,
-    /// RBF kernel length scale.
-    pub length_scale: f64,
-    /// Observation noise (jitter) added to the kernel diagonal.
-    pub noise: f64,
 }
 
 impl Default for BoConfig {
@@ -25,8 +26,6 @@ impl Default for BoConfig {
             initial_samples: 4,
             iterations: 8,
             candidates: 128,
-            length_scale: 0.5,
-            noise: 1e-4,
         }
     }
 }
@@ -82,18 +81,18 @@ pub fn bayesian_minimize(
         let n = xs.len();
         let k = |a: &[f64], b: &[f64]| -> f64 {
             let d2: f64 = a.iter().zip(b).map(|(&p, &q)| (p - q) * (p - q)).sum();
-            (-d2 / (2.0 * cfg.length_scale * cfg.length_scale)).exp()
+            (-d2 / (2.0 * LENGTH_SCALE * LENGTH_SCALE)).exp()
         };
         let mut kmat = vec![0.0f64; n * n];
         for i in 0..n {
             for j in 0..n {
-                kmat[i * n + j] = k(&xs[i], &xs[j]) + if i == j { cfg.noise } else { 0.0 };
+                kmat[i * n + j] = k(&xs[i], &xs[j]) + if i == j { NOISE } else { 0.0 };
             }
         }
         // RBF Gram matrices are PSD; the jitter makes them PD unless samples
         // are (nearly) duplicated. Escalate the jitter before giving up.
         let mut chol = cholesky(&kmat, n);
-        let mut jitter = cfg.noise.max(1e-9);
+        let mut jitter = NOISE.max(1e-9);
         for _ in 0..8 {
             if chol.is_some() {
                 break;
@@ -115,7 +114,7 @@ pub fn bayesian_minimize(
             let kv: Vec<f64> = xs.iter().map(|x| k(x, c)).collect();
             let mu: f64 = kv.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
             let v = chol_forward(&chol, n, &kv);
-            let var = (1.0 + cfg.noise - v.iter().map(|&x| x * x).sum::<f64>()).max(1e-12);
+            let var = (1.0 + NOISE - v.iter().map(|&x| x * x).sum::<f64>()).max(1e-12);
             let sigma = var.sqrt();
             let z = (best - mu) / sigma;
             sigma * (z * normal_cdf(z) + normal_pdf(z))

@@ -9,11 +9,11 @@ use crate::resilience::{
     execute_stage_body, run_stage, FlowError, RecoveryEvent, ResilienceOptions, ResilienceReport,
 };
 use dco3d::{DcoConfig, DcoOptimizer};
-use dco_gnn::{build_node_features, Gcn, GcnConfig};
+use dco_gnn::{build_node_features, Gcn};
 use dco_netlist::{Design, Placement3};
 use dco_place::{detailed_place, legalize, GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
-use dco_timing::{run_timing_eco, synthesize_clock_tree, EcoConfig, PowerAnalyzer, Sta};
+use dco_timing::{run_timing_eco, synthesize_clock_tree, PowerAnalyzer, Sta};
 use dco_unet::{
     load_predictor, save_predictor, train, Normalization, SiameseUNet, TrainConfig, TrainResult,
     UNetConfig,
@@ -591,6 +591,27 @@ impl<'a> FlowRunner<'a> {
         seed: u64,
         dco_cfg: DcoConfig,
     ) -> DcoStage {
+        let result = self
+            .dco_optimizer(predictor, place, seed, dco_cfg)
+            .run(&place.placement);
+        DcoStage {
+            placement: result.placement,
+            divergence_events: result.divergence_events,
+            degraded: result.degraded,
+        }
+    }
+
+    /// The DCO stage's optimizer, set up and ready to
+    /// [`run`](DcoOptimizer::run) from `place.placement`: the node features
+    /// and criticality anchors come from a routed timing snapshot of
+    /// `place`, and the GCN is seeded with `seed`.
+    pub fn dco_optimizer<'p>(
+        &'p self,
+        predictor: &'p Predictor,
+        place: &PlaceStage,
+        seed: u64,
+        dco_cfg: DcoConfig,
+    ) -> DcoOptimizer<'p> {
         let design = self.design;
         // Timing snapshot from a quick global route: the GNN's Table-II
         // features (and the criticality anchors) reflect routed reality, as
@@ -602,24 +623,18 @@ impl<'a> FlowRunner<'a> {
             Some(&probe.net_bonds),
         );
         let features = build_node_features(design, &place.placement, &timing);
-        let gcn = Gcn::new(GcnConfig::default(), seed);
         let mut dco = DcoOptimizer::new(
             design,
             &predictor.unet,
             &predictor.normalization,
             features,
-            gcn,
+            Gcn::new(seed),
             dco_cfg,
         );
         // Anchor timing-critical cells: congestion is optimized "without
         // compromising overall design quality" (Sec. V-C).
-        dco.set_timing_criticality(&timing.cell_slack, 10.0);
-        let result = dco.run(&place.placement);
-        DcoStage {
-            placement: result.placement,
-            divergence_events: result.divergence_events,
-            degraded: result.degraded,
-        }
+        dco.set_timing_criticality(&timing.cell_slack);
+        dco
     }
 
     /// The tier-assign stage: legalize `spread` and refine with detailed
@@ -698,10 +713,7 @@ impl<'a> FlowRunner<'a> {
             Some(&net_lengths),
             Some(&route.net_bonds),
             &sta,
-            &EcoConfig {
-                max_rounds: 2,
-                ..EcoConfig::default()
-            },
+            2,
         );
         let power = PowerAnalyzer::new(design).analyze(placement, Some(&net_lengths));
         StaStage {
@@ -773,7 +785,6 @@ mod tests {
                 initial_samples: 2,
                 iterations: 2,
                 candidates: 16,
-                ..BoConfig::default()
             },
             ..FlowConfig::default()
         }

@@ -22,7 +22,7 @@ use crate::flow::Predictor;
 use dco_features::{DieFeatures, FeatureExtractor, GridMap, SoftAssignment};
 use dco_incremental::{DeltaSet, DeltaStats};
 use dco_netlist::{Design, Placement3};
-use dco_route::{IncrRouteStats, IncrementalRouter, RouterConfig};
+use dco_route::{IncrRouteStats, IncrementalRouter};
 use dco_timing::{IncrStaStats, IncrementalSta, TimingReport};
 use dco_unet::{patch_predict_maps, predict_maps, resized_stacks, UnetPatchStats};
 
@@ -108,18 +108,13 @@ impl std::fmt::Debug for EvalState {
 
 impl<'a> IncrementalEval<'a> {
     /// A cold session: the first [`IncrementalEval::eval`] runs full.
-    pub fn new(
-        design: &'a Design,
-        router_cfg: RouterConfig,
-        predictor: &'a Predictor,
-        map_size: usize,
-    ) -> Self {
+    pub fn new(design: &'a Design, predictor: &'a Predictor, map_size: usize) -> Self {
         Self {
             design,
             predictor,
             map_size,
             extractor: FeatureExtractor::new(design.floorplan.grid),
-            router: IncrementalRouter::new(design, router_cfg),
+            router: IncrementalRouter::new(design),
             sta: IncrementalSta::new(design),
             state: None,
         }
@@ -241,16 +236,10 @@ fn clone_stack(f: &DieFeatures) -> Vec<GridMap> {
 }
 
 impl<'a> crate::flow::FlowRunner<'a> {
-    /// A warm [`IncrementalEval`] session over this runner's design, using
-    /// the quick placement-stage router configuration (the DCO loop's
-    /// congestion probe) and the runner's map size.
+    /// A warm [`IncrementalEval`] session over this runner's design at the
+    /// runner's map size.
     pub fn incremental_eval<'p>(&'p self, predictor: &'p Predictor) -> IncrementalEval<'p> {
-        IncrementalEval::new(
-            self.design(),
-            self.config().stage_router.clone(),
-            predictor,
-            self.config().map_size,
-        )
+        IncrementalEval::new(self.design(), predictor, self.config().map_size)
     }
 }
 

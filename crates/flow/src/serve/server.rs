@@ -1059,12 +1059,7 @@ fn run_delta<'a>(
         }
     };
     let sess = session.get_or_insert_with(|| {
-        IncrementalEval::new(
-            state.design(),
-            state.config().stage_router.clone(),
-            state.predictor(),
-            state.config().map_size,
-        )
+        IncrementalEval::new(state.design(), state.predictor(), state.config().map_size)
     });
     let outcome = catch_unwind(AssertUnwindSafe(|| sess.eval(&placement)));
     match outcome {

@@ -81,19 +81,10 @@ pub fn build_node_features(
 }
 
 /// Build the GCN propagation matrix: symmetrically normalized star-expanded
-/// netlist adjacency with self loops.
-pub fn build_adjacency(design: &Design, max_net_degree: usize) -> Csr {
+/// netlist adjacency ([`dco_netlist::Netlist::star_edges`]) with self loops.
+pub fn build_adjacency(design: &Design) -> Csr {
     let netlist = &design.netlist;
-    let adj = netlist.star_adjacency(max_net_degree);
-    let mut edges = Vec::new();
-    for (u, peers) in adj.iter().enumerate() {
-        for &(v, w) in peers {
-            if u < v.index() {
-                edges.push((u, v.index(), w as f32));
-            }
-        }
-    }
-    Csr::gcn_normalized(netlist.num_cells(), edges)
+    Csr::gcn_normalized(netlist.num_cells(), netlist.star_edges())
 }
 
 #[cfg(test)]
@@ -125,7 +116,7 @@ mod tests {
             .with_scale(0.02)
             .generate(2)
             .expect("gen");
-        let a = build_adjacency(&d, 48);
+        let a = build_adjacency(&d);
         assert_eq!(a.n_rows(), d.netlist.num_cells());
         // self loops guarantee nnz >= n
         assert!(a.nnz() >= d.netlist.num_cells());

@@ -10,15 +10,14 @@
 //! # Example
 //!
 //! ```
-//! use dco_gnn::{Gcn, GcnConfig};
+//! use dco_gnn::{Gcn, NUM_NODE_FEATURES};
 //! use dco_tensor::{Csr, Graph, Tensor};
 //! use std::rc::Rc;
 //!
-//! let cfg = GcnConfig { in_features: 4, hidden: 8, ..GcnConfig::default() };
-//! let mut gcn = Gcn::new(cfg, 0);
+//! let mut gcn = Gcn::new(0);
 //! let adj = Rc::new(Csr::gcn_normalized(3, vec![(0, 1, 1.0), (1, 2, 1.0)]));
 //! let mut g = Graph::new();
-//! let x = g.input(Tensor::zeros(&[3, 4]));
+//! let x = g.input(Tensor::zeros(&[3, NUM_NODE_FEATURES]));
 //! let out = gcn.forward(&mut g, adj, x);
 //! assert_eq!(g.value(out).shape(), &[3, 3]);
 //! ```
@@ -27,4 +26,4 @@ mod features;
 mod model;
 
 pub use features::{build_adjacency, build_node_features, NUM_NODE_FEATURES};
-pub use model::{Gcn, GcnConfig};
+pub use model::Gcn;

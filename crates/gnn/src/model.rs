@@ -1,61 +1,41 @@
 //! The 3-layer GCN with shared weights (paper Sec. IV-A).
 
+use crate::NUM_NODE_FEATURES;
 use dco_tensor::{Csr, Graph, Initializer, ParamStore, Tensor, Var};
 use std::rc::Rc;
 
-/// GCN hyperparameters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GcnConfig {
-    /// Input feature width per node.
-    pub in_features: usize,
-    /// Hidden width of the GCN layers.
-    pub hidden: usize,
-    /// Number of graph-convolution layers (paper: 3).
-    pub layers: usize,
-    /// Output width (3: x, y, z).
-    pub out_features: usize,
-}
+/// Hidden width of the GCN layers.
+const HIDDEN: usize = 16;
+/// Number of graph-convolution layers (paper: 3).
+const LAYERS: usize = 3;
+/// Output width (3: x, y, z).
+const OUT_FEATURES: usize = 3;
 
-impl Default for GcnConfig {
-    fn default() -> Self {
-        Self {
-            in_features: crate::NUM_NODE_FEATURES,
-            hidden: 16,
-            layers: 3,
-            out_features: 3,
-        }
-    }
-}
-
-/// A graph convolutional network over the netlist graph.
+/// A graph convolutional network over the netlist graph: `[n,
+/// NUM_NODE_FEATURES]` node features in, a raw `[n, 3]` (x, y, z) tensor
+/// out.
 #[derive(Debug)]
 pub struct Gcn {
-    cfg: GcnConfig,
     store: ParamStore,
 }
 
 impl Gcn {
     /// Create a GCN with Xavier-initialized weights. The output head starts
     /// near zero so the initial prediction is "no movement".
-    pub fn new(cfg: GcnConfig, seed: u64) -> Self {
+    pub fn new(seed: u64) -> Self {
         let mut init = Initializer::new(seed ^ 0x6C);
         let mut store = ParamStore::new();
-        let mut din = cfg.in_features;
-        for l in 0..cfg.layers {
-            store.insert(format!("gcn{l}.w"), init.xavier_uniform(&[din, cfg.hidden]));
-            store.insert(format!("gcn{l}.b"), Tensor::zeros(&[cfg.hidden]));
-            din = cfg.hidden;
+        let mut din = NUM_NODE_FEATURES;
+        for l in 0..LAYERS {
+            store.insert(format!("gcn{l}.w"), init.xavier_uniform(&[din, HIDDEN]));
+            store.insert(format!("gcn{l}.b"), Tensor::zeros(&[HIDDEN]));
+            din = HIDDEN;
         }
         // near-zero head => near-identity starting placement
-        let head = init.uniform(&[din, cfg.out_features], -0.01, 0.01);
+        let head = init.uniform(&[din, OUT_FEATURES], -0.01, 0.01);
         store.insert("head.w", head);
-        store.insert("head.b", Tensor::zeros(&[cfg.out_features]));
-        Self { cfg, store }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &GcnConfig {
-        &self.cfg
+        store.insert("head.b", Tensor::zeros(&[OUT_FEATURES]));
+        Self { store }
     }
 
     /// Number of trainable scalars.
@@ -68,12 +48,11 @@ impl Gcn {
         &mut self.store
     }
 
-    /// Record the forward pass: `layers` rounds of `relu(A · H · W + b)`
-    /// followed by a linear head. Returns the raw `[n, out_features]`
-    /// output.
+    /// Record the forward pass: three rounds of `leaky_relu(A · H · W + b)`
+    /// followed by a linear head. Returns the raw `[n, 3]` output.
     pub fn forward(&mut self, g: &mut Graph, adj: Rc<Csr>, x: Var) -> Var {
         let mut h = x;
-        for l in 0..self.cfg.layers {
+        for l in 0..LAYERS {
             let w = self.store.bind(g, &format!("gcn{l}.w"));
             let b = self.store.bind(g, &format!("gcn{l}.b"));
             let agg = g.spmm(Rc::clone(&adj), h);
@@ -102,16 +81,12 @@ mod tests {
 
     #[test]
     fn forward_shape_and_determinism() {
-        let mut gcn = Gcn::new(
-            GcnConfig {
-                in_features: 5,
-                hidden: 8,
-                ..GcnConfig::default()
-            },
-            1,
-        );
+        let mut gcn = Gcn::new(1);
         let adj = ring(6);
-        let x = Tensor::from_vec((0..30).map(|v| v as f32 * 0.1).collect(), &[6, 5]);
+        let x = Tensor::from_vec(
+            (0..6 * NUM_NODE_FEATURES).map(|v| v as f32 * 0.1).collect(),
+            &[6, NUM_NODE_FEATURES],
+        );
         let mut g1 = Graph::new();
         let xv = g1.input(x.clone());
         let o1 = gcn.forward(&mut g1, Rc::clone(&adj), xv);
@@ -125,17 +100,10 @@ mod tests {
 
     #[test]
     fn initial_output_is_near_zero() {
-        let mut gcn = Gcn::new(
-            GcnConfig {
-                in_features: 5,
-                hidden: 8,
-                ..GcnConfig::default()
-            },
-            2,
-        );
+        let mut gcn = Gcn::new(2);
         let adj = ring(4);
         let mut g = Graph::new();
-        let x = g.input(Tensor::ones(&[4, 5]));
+        let x = g.input(Tensor::ones(&[4, NUM_NODE_FEATURES]));
         let o = gcn.forward(&mut g, adj, x);
         assert!(g.value(o).max().abs() < 0.5, "head should start near zero");
     }
@@ -144,21 +112,12 @@ mod tests {
     fn message_passing_spreads_information() {
         // Perturbing node 0's features changes node 1's output (1 hop) and,
         // with 3 layers, node 3's output (3 hops).
-        let mk = || {
-            Gcn::new(
-                GcnConfig {
-                    in_features: 2,
-                    hidden: 8,
-                    ..GcnConfig::default()
-                },
-                3,
-            )
-        };
+        let mk = || Gcn::new(3);
         let adj = Rc::new(Csr::gcn_normalized(
             5,
             vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
         ));
-        let base = Tensor::zeros(&[5, 2]);
+        let base = Tensor::zeros(&[5, NUM_NODE_FEATURES]);
         let mut pert = base.clone();
         pert.data_mut()[0] = 1.0;
         let run = |x: Tensor| {
@@ -180,16 +139,14 @@ mod tests {
 
     #[test]
     fn gcn_trains_toward_target() {
-        let mut gcn = Gcn::new(
-            GcnConfig {
-                in_features: 3,
-                hidden: 8,
-                ..GcnConfig::default()
-            },
-            4,
-        );
+        let mut gcn = Gcn::new(4);
         let adj = ring(4);
-        let x = Tensor::from_vec((0..12).map(|v| (v % 3) as f32 * 0.3).collect(), &[4, 3]);
+        let x = Tensor::from_vec(
+            (0..4 * NUM_NODE_FEATURES)
+                .map(|v| (v % 3) as f32 * 0.3)
+                .collect(),
+            &[4, NUM_NODE_FEATURES],
+        );
         let target = Tensor::full(&[4, 3], 0.5);
         let mut opt = Adam::new(0.05);
         let mut first = None;

@@ -44,7 +44,7 @@ pub use cell::{Cell, CellClass, CellId};
 pub use error::NetlistError;
 pub use floorplan::{Die, Floorplan, GcellGrid};
 pub use net::{Net, NetId, Pin, PinDirection, PinId};
-pub use netlist::Netlist;
+pub use netlist::{Netlist, MAX_STAR_NET_DEGREE};
 pub use placement::{Placement3, Tier};
 pub use tech::Technology;
 

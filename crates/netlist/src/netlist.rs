@@ -1,6 +1,11 @@
 use crate::{Cell, CellId, Net, NetId, NetlistError, Pin, PinDirection, PinId};
 use serde::{Deserialize, Serialize};
 
+/// Nets with more pins than this are left out of the star expansion
+/// ([`Netlist::star_adjacency`]), as is standard for clock/reset-like
+/// high-fanout nets.
+pub const MAX_STAR_NET_DEGREE: usize = 48;
+
 /// A hypergraph netlist: cells connected by multi-pin nets.
 ///
 /// All vectors are indexed by the corresponding id types. Construction goes
@@ -167,13 +172,13 @@ impl Netlist {
     ///
     /// Each net of degree `d` contributes edges with weight `w / (d - 1)`
     /// between its driver and every sink (star expansion), which keeps the
-    /// graph sparse for high-fanout nets. Nets with degree above
-    /// `max_degree` are skipped (standard practice for clock/reset nets).
-    pub fn star_adjacency(&self, max_degree: usize) -> Vec<Vec<(CellId, f64)>> {
+    /// graph sparse for high-fanout nets. Clock nets and nets with degree
+    /// above [`MAX_STAR_NET_DEGREE`] are skipped.
+    pub fn star_adjacency(&self) -> Vec<Vec<(CellId, f64)>> {
         let mut adj: Vec<Vec<(CellId, f64)>> = vec![Vec::new(); self.cells.len()];
         for net_id in self.net_ids() {
             let net = self.net(net_id);
-            if net.degree() > max_degree || net.is_clock {
+            if net.degree() > MAX_STAR_NET_DEGREE || net.is_clock {
                 continue;
             }
             let cells = self.net_cells(net_id);
@@ -193,6 +198,21 @@ impl Netlist {
             }
         }
         adj
+    }
+
+    /// The star expansion as an undirected edge list for the `f32` graph
+    /// operators: each edge `(u, v, w)` of [`Netlist::star_adjacency`] once,
+    /// with `u < v`, in row order.
+    pub fn star_edges(&self) -> Vec<(usize, usize, f32)> {
+        let mut edges = Vec::new();
+        for (u, peers) in self.star_adjacency().iter().enumerate() {
+            for &(v, w) in peers {
+                if u < v.index() {
+                    edges.push((u, v.index(), w as f32));
+                }
+            }
+        }
+        edges
     }
 
     /// Total weighted degree of each cell (number of net connections).
@@ -251,7 +271,7 @@ mod tests {
     #[test]
     fn star_adjacency_is_symmetric() {
         let n = tiny();
-        let adj = n.star_adjacency(64);
+        let adj = n.star_adjacency();
         for (u, edges) in adj.iter().enumerate() {
             for &(v, w) in edges {
                 assert!(

@@ -127,7 +127,7 @@ impl<'a> GlobalPlacer<'a> {
     /// Star adjacency with Table-I-dependent net weighting.
     fn weighted_adjacency(&self, params: &PlacementParams) -> Vec<Vec<(CellId, f64)>> {
         let netlist = &self.design.netlist;
-        let mut adj = netlist.star_adjacency(48);
+        let mut adj = netlist.star_adjacency();
         if params.low_power_placement || params.enable_ccd {
             let power_boost = 1.0 + 0.15 * params.enhanced_low_power_effort as f64;
             for (i, edges) in adj.iter_mut().enumerate() {
@@ -279,7 +279,7 @@ impl<'a> GlobalPlacer<'a> {
     ) {
         let netlist = &self.design.netlist;
         let g = self.design.floorplan.grid;
-        let adj = netlist.star_adjacency(48);
+        let adj = netlist.star_adjacency();
         let demand: [GridMap; 2] = if params.global_route_based {
             let fx = FeatureExtractor::new(g);
             let soft = SoftAssignment::from_placement(p);

@@ -25,7 +25,7 @@
 //! That is the right trade for the interactive ECO loop this engine
 //! serves; the full [`Router`] remains the label generator.
 
-use crate::router::{RouteResult, RouteState, Router, RouterConfig, Step};
+use crate::router::{RouteResult, RouteState, Router, RouterConfig, Step, MAX_MST_PINS};
 use crate::topology::decompose_net;
 use dco_incremental::DeltaSet;
 use dco_netlist::{Design, NetId, Placement3};
@@ -52,7 +52,6 @@ struct NetRoute {
 #[derive(Debug)]
 pub struct IncrementalRouter<'a> {
     design: &'a Design,
-    max_mst_pins: usize,
     router: Router<'a>,
     /// Frozen all-zero cost oracle: keeps per-segment routing pure.
     oracle: RouteState,
@@ -64,16 +63,13 @@ pub struct IncrementalRouter<'a> {
 }
 
 impl<'a> IncrementalRouter<'a> {
-    /// An incremental router for `design`. Only the decomposition knob
-    /// (`max_mst_pins`) of `cfg` shapes routes; congestion knobs are
-    /// irrelevant under the blind-cost semantics.
-    pub fn new(design: &'a Design, cfg: RouterConfig) -> Self {
+    /// An incremental router for `design`. It takes no [`RouterConfig`]:
+    /// under the blind-cost semantics no negotiation knob shapes a route.
+    pub fn new(design: &'a Design) -> Self {
         let grid = design.floorplan.grid;
-        let max_mst_pins = cfg.max_mst_pins;
         Self {
             design,
-            max_mst_pins,
-            router: Router::new(design, cfg),
+            router: Router::new(design, RouterConfig::default()),
             oracle: RouteState::new(grid),
             state: RouteState::new(grid),
             cached: vec![NetRoute::default(); design.netlist.num_nets()],
@@ -152,7 +148,7 @@ impl<'a> IncrementalRouter<'a> {
     fn route_net(&self, net: NetId, placement: &Placement3) -> NetRoute {
         let g = self.design.floorplan.grid;
         let gsz = (g.dx + g.dy) / 2.0;
-        let segments = decompose_net(&self.design.netlist, placement, net, self.max_mst_pins);
+        let segments = decompose_net(&self.design.netlist, placement, net, MAX_MST_PINS);
         let mut nr = NetRoute {
             paths: Vec::with_capacity(segments.len()),
             bonds: Vec::with_capacity(segments.len()),
@@ -225,7 +221,7 @@ mod tests {
     #[test]
     fn empty_delta_is_a_bitwise_noop() {
         let d = design();
-        let mut eng = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut eng = IncrementalRouter::new(&d);
         let a = eng.full(&d.placement);
         let delta = DeltaSet::diff(&d.netlist, d.floorplan.grid, &d.placement, &d.placement);
         let b = eng.apply(&d.placement, &delta);
@@ -241,14 +237,14 @@ mod tests {
         let id = CellId(2);
         moved.set_xy(id, moved.x(id) + 2.5 * g.dx, moved.y(id) + 1.5 * g.dy);
 
-        let mut eng = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut eng = IncrementalRouter::new(&d);
         eng.full(&d.placement);
         let delta = DeltaSet::diff(&d.netlist, g, &d.placement, &moved);
         assert!(!delta.is_empty());
         let incr = eng.apply(&moved, &delta);
         assert!(eng.stats().nets_ripped < d.netlist.num_nets());
 
-        let mut fresh = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut fresh = IncrementalRouter::new(&d);
         let scratch = fresh.full(&moved);
         assert_eq!(checksum(&incr), checksum(&scratch));
         assert_eq!(incr.net_lengths, scratch.net_lengths);
@@ -258,11 +254,11 @@ mod tests {
     #[test]
     fn everything_delta_matches_full() {
         let d = design();
-        let mut eng = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut eng = IncrementalRouter::new(&d);
         eng.full(&d.placement);
         let delta = DeltaSet::everything(&d.netlist, d.floorplan.grid);
         let a = eng.apply(&d.placement, &delta);
-        let mut fresh = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut fresh = IncrementalRouter::new(&d);
         let b = fresh.full(&d.placement);
         assert_eq!(checksum(&a), checksum(&b));
     }
@@ -273,7 +269,7 @@ mod tests {
         // bitwise: rip-out is exact subtraction of integer-valued floats.
         let d = design();
         let g = d.floorplan.grid;
-        let mut eng = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut eng = IncrementalRouter::new(&d);
         let before = eng.full(&d.placement);
         let mut moved = d.placement.clone();
         let id = CellId(4);

@@ -25,19 +25,23 @@ const ROUTE_BATCH: usize = 64;
 /// hybrid-bond cell (if any) each segment landed on.
 type BestRouting = (RouteState, Vec<Vec<Step>>, Vec<Option<(u16, u16)>>);
 
+/// Nets with more pins than this use star decomposition instead of MST.
+pub(crate) const MAX_MST_PINS: usize = 32;
+
+/// History cost added to each over-capacity GCell per RRR iteration.
+const HISTORY_INCREMENT: f32 = 1.0;
+
+/// Cost penalty per unit of overflow when a route would exceed capacity.
+const OVERFLOW_PENALTY: f32 = 4.0;
+
+/// Number of intermediate positions tried for Z-shaped detours.
+const Z_CANDIDATES: u16 = 3;
+
 /// Router tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Rip-up-and-reroute iterations (0 = initial pattern routing only).
     pub rrr_iterations: usize,
-    /// Nets with more pins than this use star decomposition instead of MST.
-    pub max_mst_pins: usize,
-    /// History cost added to each over-capacity GCell per RRR iteration.
-    pub history_increment: f32,
-    /// Cost penalty per unit of overflow when a route would exceed capacity.
-    pub overflow_penalty: f32,
-    /// Number of intermediate positions tried for Z-shaped detours.
-    pub z_candidates: usize,
     /// Escalate still-overflowing segments to A* maze routing after the
     /// pattern-based RRR iterations (0 disables; the value is the window
     /// margin in GCells around each segment's bbox).
@@ -60,10 +64,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         Self {
             rrr_iterations: 6,
-            max_mst_pins: 32,
-            history_increment: 1.0,
-            overflow_penalty: 4.0,
-            z_candidates: 3,
             maze_margin: 8,
             stall_rrr: false,
             cancel: dco_parallel::CancelToken::never(),
@@ -178,12 +178,7 @@ impl<'a> Router<'a> {
             if netlist.net(net_id).is_clock {
                 continue;
             }
-            segments.extend(decompose_net(
-                netlist,
-                placement,
-                net_id,
-                self.cfg.max_mst_pins,
-            ));
+            segments.extend(decompose_net(netlist, placement, net_id, MAX_MST_PINS));
         }
         segments.sort_by(|a, b| a.manhattan_length().total_cmp(&b.manhattan_length()));
 
@@ -242,8 +237,7 @@ impl<'a> Router<'a> {
                 rrr_iterations = self.cfg.rrr_iterations;
                 break;
             }
-            let overfull =
-                state.mark_overflow_history(self.h_cap, self.v_cap, self.cfg.history_increment);
+            let overfull = state.mark_overflow_history(self.h_cap, self.v_cap, HISTORY_INCREMENT);
             if !overfull {
                 break;
             }
@@ -424,7 +418,7 @@ impl<'a> Router<'a> {
                 let bond_pressure = {
                     let u = state.bonds.get(bc as usize, br as usize);
                     debug_assert!(u.is_finite(), "bond usage at ({bc}, {br}) is non-finite");
-                    (u + 1.0 - self.bond_cap).max(0.0) * self.cfg.overflow_penalty
+                    (u + 1.0 - self.bond_cap).max(0.0) * OVERFLOW_PENALTY
                 };
                 let cost = self.path_cost(&path, state) + bond_pressure;
                 if cost < best.2 {
@@ -466,9 +460,9 @@ impl<'a> Router<'a> {
         if use_z && c0 != c1 && r0 != r1 {
             let (clo, chi) = (c0.min(c1), c0.max(c1));
             let (rlo, rhi) = (r0.min(r1), r0.max(r1));
-            for k in 1..=self.cfg.z_candidates as u16 {
-                let cm = clo + (chi - clo) * k / (self.cfg.z_candidates as u16 + 1);
-                let rm = rlo + (rhi - rlo) * k / (self.cfg.z_candidates as u16 + 1);
+            for k in 1..=Z_CANDIDATES {
+                let cm = clo + (chi - clo) * k / (Z_CANDIDATES + 1);
+                let rm = rlo + (rhi - rlo) * k / (Z_CANDIDATES + 1);
                 consider(z_path_hvh(c0, r0, c1, r1, cm, die), self);
                 consider(z_path_vhv(c0, r0, c1, r1, rm, die), self);
             }
@@ -478,7 +472,7 @@ impl<'a> Router<'a> {
 
     fn path_cost(&self, path: &[Step], state: &RouteState) -> f32 {
         path.iter()
-            .map(|s| state.step_cost(s, self.h_cap, self.v_cap, self.cfg.overflow_penalty))
+            .map(|s| state.step_cost(s, self.h_cap, self.v_cap, OVERFLOW_PENALTY))
             .sum()
     }
 
@@ -499,7 +493,7 @@ impl<'a> Router<'a> {
                 die: die as usize,
                 h_cap: self.h_cap,
                 v_cap: self.v_cap,
-                penalty: self.cfg.overflow_penalty,
+                penalty: OVERFLOW_PENALTY,
             };
             match crate::maze::maze_route(&oracle, g.nx, g.ny, from, to, self.cfg.maze_margin) {
                 Some(steps) => steps

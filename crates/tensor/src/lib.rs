@@ -11,7 +11,7 @@
 //!   graph convolutions,
 //! - [`CustomOp`]: user-defined ops with hand-written backward passes — the
 //!   hook DCO-3D uses for its feature-map rasterizer (paper Eq. 5–6),
-//! - [`ParamStore`] with [`Sgd`] and [`Adam`] optimizers, and
+//! - [`ParamStore`] with the [`Adam`] optimizer, and
 //!   [`Initializer`] for Xavier/He weight init.
 //!
 //! # Example: one gradient step
@@ -48,6 +48,6 @@ pub use arena::{ArenaStats, TensorArena};
 pub use graph::{CustomOp, Graph, Var};
 pub use init::Initializer;
 pub use inspect::{Diagnostic, DiagnosticKind, Severity};
-pub use optim::{Adam, ParamStore, Sgd};
+pub use optim::{Adam, ParamStore};
 pub use sparse::Csr;
 pub use tensor::Tensor;

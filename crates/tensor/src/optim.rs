@@ -144,66 +144,6 @@ impl ParamStore {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0.0 disables momentum).
-    pub momentum: f32,
-    velocity: BTreeMap<String, Tensor>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no momentum.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            velocity: BTreeMap::new(),
-        }
-    }
-
-    /// SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Self {
-            lr,
-            momentum,
-            velocity: BTreeMap::new(),
-        }
-    }
-
-    /// Apply one update using the store's accumulated gradients, then clear
-    /// them.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        let names: Vec<String> = store.grads.keys().cloned().collect();
-        for name in names {
-            let grad = store.grads[&name].clone();
-            let update = if self.momentum > 0.0 {
-                let vel = self
-                    .velocity
-                    .entry(name.clone())
-                    .or_insert_with(|| Tensor::zeros(grad.shape()));
-                vel.scale_assign(self.momentum);
-                vel.add_assign(&grad);
-                vel.clone()
-            } else {
-                grad
-            };
-            let Some(p) = store.values.get_mut(&name) else {
-                // a gradient for a name never inserted: apply_grads only
-                // records names bound from this store, so this is unreachable
-                debug_assert!(false, "gradient for unbound parameter `{name}`");
-                continue;
-            };
-            for (pv, &gv) in p.data_mut().iter_mut().zip(update.data()) {
-                *pv -= self.lr * gv;
-            }
-        }
-        store.zero_grads();
-    }
-}
-
 /// Adam optimizer (Kingma & Ba, 2015).
 #[derive(Debug)]
 pub struct Adam {
@@ -285,33 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_descends_quadratic() {
-        let mut store = ParamStore::new();
-        store.insert("w", Tensor::from_vec(vec![4.0, -3.0], &[2]));
-        let mut opt = Sgd::new(0.1);
-        for _ in 0..50 {
-            quadratic_step(&mut store);
-            opt.step(&mut store);
-        }
-        assert!(store.get("w").norm() < 1e-3);
-    }
-
-    #[test]
-    fn momentum_accelerates() {
-        let run = |momentum: f32, iters: usize| {
-            let mut store = ParamStore::new();
-            store.insert("w", Tensor::from_vec(vec![4.0], &[1]));
-            let mut opt = Sgd::with_momentum(0.01, momentum);
-            for _ in 0..iters {
-                quadratic_step(&mut store);
-                opt.step(&mut store);
-            }
-            store.get("w").norm()
-        };
-        assert!(run(0.9, 40) < run(0.0, 40));
-    }
-
-    #[test]
     fn adam_descends_quadratic() {
         let mut store = ParamStore::new();
         store.insert("w", Tensor::from_vec(vec![2.5, -1.5, 0.7], &[3]));
@@ -342,7 +255,7 @@ mod tests {
         let mut store = ParamStore::new();
         store.insert("w", Tensor::from_vec(vec![4.0, -3.0], &[2]));
         let snap = store.snapshot();
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         quadratic_step(&mut store);
         opt.step(&mut store);
         assert_ne!(store.get("w").data(), snap["w"].data());

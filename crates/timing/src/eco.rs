@@ -14,33 +14,15 @@ use crate::incremental::IncrementalSta;
 use crate::{Sta, TimingReport};
 use dco_netlist::{Design, Placement3};
 
-/// ECO tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EcoConfig {
-    /// Maximum sizing rounds.
-    pub max_rounds: usize,
-    /// Drive-resistance multiplier per upsizing step (< 1.0).
-    pub upsize_factor: f64,
-    /// Strongest allowed cumulative scale (drive_res floor as a fraction).
-    pub min_scale: f64,
-    /// Cells with slack below this (ps) are sizing candidates.
-    pub slack_threshold: f64,
-    /// Power penalty per upsizing step, as a fraction of the cell's
-    /// internal + leakage power (each step adds this much).
-    pub power_penalty_frac: f64,
-}
-
-impl Default for EcoConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 4,
-            upsize_factor: 0.7,
-            min_scale: 0.35,
-            slack_threshold: 0.0,
-            power_penalty_frac: 0.3,
-        }
-    }
-}
+/// Drive-resistance multiplier per upsizing step (< 1.0).
+const UPSIZE_FACTOR: f64 = 0.7;
+/// Strongest allowed cumulative scale (drive_res floor as a fraction).
+const MIN_SCALE: f64 = 0.35;
+/// Cells with slack below this (ps) are sizing candidates.
+const SLACK_THRESHOLD: f64 = 0.0;
+/// Power penalty per upsizing step, as a fraction of the cell's
+/// internal + leakage power (each step adds this much).
+const POWER_PENALTY_FRAC: f64 = 0.3;
 
 /// Outcome of the ECO pass.
 #[derive(Debug, Clone)]
@@ -61,7 +43,8 @@ pub struct EcoReport {
     pub drive_scale: Vec<f64>,
 }
 
-/// Run the timing ECO on a routed design.
+/// Run the timing ECO on a routed design, for at most `max_rounds` sizing
+/// rounds.
 ///
 /// Analyses use `sta`'s margins. The pin graph depends only on the
 /// netlist, so one engine is built and re-run from scratch for each
@@ -72,7 +55,7 @@ pub fn run_timing_eco(
     net_lengths: Option<&[f64]>,
     net_bonds: Option<&[u32]>,
     sta: &Sta<'_>,
-    cfg: &EcoConfig,
+    max_rounds: usize,
 ) -> EcoReport {
     let netlist = &design.netlist;
     let n = netlist.num_cells();
@@ -85,7 +68,7 @@ pub fn run_timing_eco(
     let mut total_upsizes = 0usize;
     let mut rounds = 0usize;
 
-    for _ in 0..cfg.max_rounds {
+    for _ in 0..max_rounds {
         if current.tns_ps >= 0.0 {
             break; // timing met
         }
@@ -97,8 +80,8 @@ pub fn run_timing_eco(
             if !cell.movable() {
                 continue; // macros/IOs are not resizable
             }
-            if current.cell_slack[i] < cfg.slack_threshold && scale[i] > cfg.min_scale {
-                scale[i] = (scale[i] * cfg.upsize_factor).max(cfg.min_scale);
+            if current.cell_slack[i] < SLACK_THRESHOLD && scale[i] > MIN_SCALE {
+                scale[i] = (scale[i] * UPSIZE_FACTOR).max(MIN_SCALE);
                 changed += 1;
             }
         }
@@ -126,10 +109,10 @@ pub fn run_timing_eco(
         if scale[i] >= 1.0 {
             continue;
         }
-        let steps = (scale[i].ln() / cfg.upsize_factor.ln()).round().max(1.0);
+        let steps = (scale[i].ln() / UPSIZE_FACTOR.ln()).round().max(1.0);
         let cell = netlist.cell(id);
         let cell_power_w = 0.15 * f_hz * cell.internal_energy * 1e-15 + cell.leakage * 1e-9;
-        power_penalty_w += steps * cfg.power_penalty_frac * cell_power_w;
+        power_penalty_w += steps * POWER_PENALTY_FRAC * cell_power_w;
     }
 
     EcoReport {
@@ -162,7 +145,7 @@ mod tests {
     fn eco_improves_tns_at_a_power_cost() {
         let d = violating_design();
         let sta = Sta::new(&d);
-        let rep = run_timing_eco(&d, &d.placement, None, None, &sta, &EcoConfig::default());
+        let rep = run_timing_eco(&d, &d.placement, None, None, &sta, 4);
         assert!(rep.before.tns_ps < 0.0, "test design should violate timing");
         assert!(
             rep.after.tns_ps > rep.before.tns_ps,
@@ -180,7 +163,7 @@ mod tests {
         let mut d = violating_design();
         d.technology.clock_period_ps = 1e6; // absurdly slow clock
         let sta = Sta::new(&d);
-        let rep = run_timing_eco(&d, &d.placement, None, None, &sta, &EcoConfig::default());
+        let rep = run_timing_eco(&d, &d.placement, None, None, &sta, 4);
         assert_eq!(rep.resized_cells, 0);
         assert_eq!(rep.power_penalty_mw, 0.0);
         assert_eq!(rep.rounds, 0);
@@ -190,21 +173,14 @@ mod tests {
     fn worse_timing_needs_more_eco_resources() {
         let d = violating_design();
         let sta = Sta::new(&d);
-        let cheap = run_timing_eco(&d, &d.placement, None, None, &sta, &EcoConfig::default());
+        let cheap = run_timing_eco(&d, &d.placement, None, None, &sta, 4);
         // inflate every net 3x: much worse timing
         let lens: Vec<f64> = d
             .netlist
             .net_ids()
             .map(|nid| d.placement.net_hpwl(&d.netlist, nid) * 3.0 + 1.0)
             .collect();
-        let costly = run_timing_eco(
-            &d,
-            &d.placement,
-            Some(&lens),
-            None,
-            &sta,
-            &EcoConfig::default(),
-        );
+        let costly = run_timing_eco(&d, &d.placement, Some(&lens), None, &sta, 4);
         assert!(
             costly.total_upsizes >= cheap.total_upsizes,
             "longer wires should need at least as much ECO: {} vs {}",
@@ -217,13 +193,9 @@ mod tests {
     fn drive_scale_is_bounded() {
         let d = violating_design();
         let sta = Sta::new(&d);
-        let cfg = EcoConfig {
-            max_rounds: 20,
-            ..EcoConfig::default()
-        };
-        let rep = run_timing_eco(&d, &d.placement, None, None, &sta, &cfg);
+        let rep = run_timing_eco(&d, &d.placement, None, None, &sta, 20);
         for &s in &rep.drive_scale {
-            assert!(s >= cfg.min_scale - 1e-12 && s <= 1.0);
+            assert!((MIN_SCALE - 1e-12..=1.0).contains(&s));
         }
     }
 }

@@ -163,9 +163,11 @@ impl<'a> IncrementalSta<'a> {
         // Kahn levelization: a pin's level is ready once all its
         // predecessors are placed; a drained frontier with pins remaining
         // means a combinational cycle, broken by forcing the lowest-id
-        // stuck pin.
+        // stuck pin. A pin is never unqueued, so each search for that pin
+        // resumes at the last one forced (`stuck`).
         let mut levels: Vec<Vec<u32>> = Vec::new();
         let mut queued = vec![false; n_pins];
+        let mut stuck = 0usize;
         let mut frontier: Vec<u32> = (0..n_pins as u32)
             .filter(|&p| indeg[p as usize] == 0)
             .collect();
@@ -179,12 +181,13 @@ impl<'a> IncrementalSta<'a> {
                 if n_done >= n_pins {
                     break;
                 }
-                match queued.iter().position(|&q| !q) {
-                    Some(i) => {
+                match queued[stuck..].iter().position(|&q| !q) {
+                    Some(offset) => {
+                        stuck += offset;
                         broken += 1;
-                        indeg[i] = 0;
-                        queued[i] = true;
-                        frontier.push(i as u32);
+                        indeg[stuck] = 0;
+                        queued[stuck] = true;
+                        frontier.push(stuck as u32);
                     }
                     None => break,
                 }
@@ -620,7 +623,7 @@ mod tests {
     use super::*;
     use dco_netlist::generate::{DesignProfile, GeneratorConfig};
     use dco_netlist::CellId;
-    use dco_route::{IncrementalRouter, RouterConfig};
+    use dco_route::IncrementalRouter;
 
     fn design() -> Design {
         GeneratorConfig::for_profile(DesignProfile::Dma)
@@ -664,7 +667,7 @@ mod tests {
         let id = CellId(7);
         moved.set_xy(id, moved.x(id) + 3.0 * g.dx, moved.y(id) - 1.0 * g.dy);
 
-        let mut rt = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut rt = IncrementalRouter::new(&d);
         let r0 = rt.full(&d.placement);
         let mut eng = IncrementalSta::new(&d);
         eng.full(&d.placement, &r0.net_lengths, &r0.net_bonds);
@@ -684,7 +687,7 @@ mod tests {
     #[test]
     fn empty_delta_pulls_nothing() {
         let d = design();
-        let mut rt = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut rt = IncrementalRouter::new(&d);
         let routed = rt.full(&d.placement);
         let mut eng = IncrementalSta::new(&d);
         let a = eng.full(&d.placement, &routed.net_lengths, &routed.net_bonds);
@@ -697,7 +700,7 @@ mod tests {
     #[test]
     fn everything_delta_matches_full() {
         let d = design();
-        let mut rt = IncrementalRouter::new(&d, RouterConfig::default());
+        let mut rt = IncrementalRouter::new(&d);
         let routed = rt.full(&d.placement);
         let mut eng = IncrementalSta::new(&d);
         eng.full(&d.placement, &routed.net_lengths, &routed.net_bonds);

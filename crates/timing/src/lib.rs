@@ -42,7 +42,7 @@ mod power;
 mod sta;
 
 pub use cts::{synthesize_clock_tree, ClockTreeReport};
-pub use eco::{run_timing_eco, EcoConfig, EcoReport};
+pub use eco::{run_timing_eco, EcoReport};
 pub use incremental::{IncrStaStats, IncrementalSta};
 pub use power::{PowerAnalyzer, PowerReport};
 pub use sta::{raw_wns, PathPoint, Sta, TimingReport};

@@ -188,7 +188,7 @@ pub struct PathPoint {
 mod tests {
     use super::*;
     use crate::incremental::STA_LEVEL_PAR_MIN;
-    use crate::{run_timing_eco, EcoConfig};
+    use crate::run_timing_eco;
     use dco_netlist::generate::{DesignProfile, GeneratorConfig};
     use dco_netlist::{CellClass, NetlistBuilder, PinDirection};
     use dco_route::{Router, RouterConfig};
@@ -586,7 +586,7 @@ mod tests {
         let (lens, bonds) = (Some(&routed.net_lengths[..]), Some(&routed.net_bonds[..]));
         let mut sta = Sta::new(&d);
         sta.setup_ps += 9.5; // a CTS skew, as the signoff stage adds
-        let eco = run_timing_eco(&d, &d.placement, lens, bonds, &sta, &EcoConfig::default());
+        let eco = run_timing_eco(&d, &d.placement, lens, bonds, &sta, 4);
         assert!(eco.rounds >= 2, "only {} sizing rounds", eco.rounds);
         let unit = vec![1.0; d.netlist.num_cells()];
         let before = sta.reference_analyze(&d.placement, lens, bonds, Some(&unit));

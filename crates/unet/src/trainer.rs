@@ -7,15 +7,18 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// Adam learning rate.
+const LEARNING_RATE: f32 = 5e-3;
+/// Fraction of samples reserved for testing (paper: 20%).
+const TEST_FRACTION: f64 = 0.2;
+/// Learning-rate multiplier applied on each divergence rollback.
+const LR_BACKOFF: f32 = 0.5;
+
 /// Training hyperparameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainConfig {
     /// Number of epochs over the training split.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub learning_rate: f32,
-    /// Fraction of samples reserved for testing (paper: 20%).
-    pub test_fraction: f64,
     /// Enable the 8-orientation augmentation.
     pub augment: bool,
     /// Shuffle/augmentation seed.
@@ -24,8 +27,6 @@ pub struct TrainConfig {
     /// (roll back to the epoch-start weights and retry the epoch with a
     /// backed-off learning rate) before degrading to best-so-far weights.
     pub max_divergence_retries: usize,
-    /// Learning-rate multiplier applied on each divergence rollback.
-    pub lr_backoff: f32,
     /// Fault injection: force the first step of this epoch to report a
     /// non-finite loss (testing hook for the divergence guard; fires once).
     pub inject_nan_loss_at: Option<usize>,
@@ -40,12 +41,9 @@ impl Default for TrainConfig {
     fn default() -> Self {
         Self {
             epochs: 30,
-            learning_rate: 5e-3,
-            test_fraction: 0.2,
             augment: true,
             seed: 0,
             max_divergence_retries: 3,
-            lr_backoff: 0.5,
             inject_nan_loss_at: None,
             cancel: dco_parallel::CancelToken::never(),
         }
@@ -82,7 +80,7 @@ pub struct TrainResult {
 
 /// Train a [`SiameseUNet`] on a dataset of [`Sample`]s (Algorithm 1).
 ///
-/// The dataset is split train/test by `cfg.test_fraction`; normalization is
+/// The dataset is split train/test (20% test); normalization is
 /// fitted on the training split only. Each step draws a random orientation
 /// when augmentation is on.
 pub fn train(model: &mut SiameseUNet, dataset: &[Sample], cfg: &TrainConfig) -> TrainResult {
@@ -90,7 +88,7 @@ pub fn train(model: &mut SiameseUNet, dataset: &[Sample], cfg: &TrainConfig) -> 
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7EA1);
     let mut order: Vec<usize> = (0..dataset.len()).collect();
     order.shuffle(&mut rng);
-    let n_test = ((dataset.len() as f64 * cfg.test_fraction).round() as usize)
+    let n_test = ((dataset.len() as f64 * TEST_FRACTION).round() as usize)
         .min(dataset.len().saturating_sub(1));
     let (test_idx, train_idx) = order.split_at(n_test);
     let train_samples: Vec<&Sample> = train_idx.iter().map(|&i| &dataset[i]).collect();
@@ -102,7 +100,7 @@ pub fn train(model: &mut SiameseUNet, dataset: &[Sample], cfg: &TrainConfig) -> 
             .map(|&i| dataset[i].clone())
             .collect::<Vec<_>>(),
     );
-    let mut lr = cfg.learning_rate;
+    let mut lr = LEARNING_RATE;
     let mut opt = Adam::new(lr);
     let mut train_loss = Vec::with_capacity(cfg.epochs);
     let mut test_loss = Vec::with_capacity(cfg.epochs);
@@ -148,7 +146,7 @@ pub fn train(model: &mut SiameseUNet, dataset: &[Sample], cfg: &TrainConfig) -> 
                 divergence_events += 1;
                 dco_obs::counter_add("unet.train.rollbacks", 1);
                 model.store_mut().restore(&snapshot);
-                lr *= cfg.lr_backoff;
+                lr *= LR_BACKOFF;
                 opt = Adam::new(lr);
                 if divergence_events > cfg.max_divergence_retries {
                     degraded = true;
@@ -355,7 +353,6 @@ mod tests {
         );
         let cfg = TrainConfig {
             epochs: 6,
-            learning_rate: 5e-3,
             augment: false,
             ..TrainConfig::default()
         };

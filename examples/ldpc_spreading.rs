@@ -9,7 +9,7 @@
 use dco3d::{diff_placements, directives_to_tcl, DcoConfig, DcoOptimizer};
 use dco_features::FeatureExtractor;
 use dco_flow::{train_predictor, FlowConfig};
-use dco_gnn::{build_node_features, Gcn, GcnConfig};
+use dco_gnn::{build_node_features, Gcn};
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_place::{legalize, GlobalPlacer, PlacementParams};
 use dco_route::{Router, RouterConfig};
@@ -42,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &predictor.unet,
         &predictor.normalization,
         features,
-        Gcn::new(GcnConfig::default(), 11),
+        Gcn::new(11),
         DcoConfig {
             max_iter: 15,
             ..DcoConfig::default()

@@ -30,7 +30,7 @@ use dco_flow::{train_predictor, FlowConfig, FlowRunner, Predictor};
 use dco_incremental::DeltaSet;
 use dco_netlist::generate::{DesignProfile, GeneratorConfig};
 use dco_netlist::{CellId, Design, Placement3};
-use dco_route::{IncrementalRouter, RouteResult, RouterConfig};
+use dco_route::{IncrementalRouter, RouteResult};
 use dco_timing::{IncrementalSta, TimingReport};
 use dco_unet::{load_predictor, save_predictor};
 use rand::{Rng, SeedableRng};
@@ -181,7 +181,7 @@ fn router_and_sta_match_from_scratch_across_seeded_deltas() {
     for &threads in &THREAD_SWEEP {
         dco_parallel::set_threads(threads);
         for seed in 0..seeds {
-            let mut router = IncrementalRouter::new(&d, RouterConfig::default());
+            let mut router = IncrementalRouter::new(&d);
             let mut sta = IncrementalSta::new(&d);
             let mut cur = d.placement.clone();
             let r0 = router.full(&cur);
@@ -197,7 +197,7 @@ fn router_and_sta_match_from_scratch_across_seeded_deltas() {
                 let sta_inc =
                     sta.apply(&moved, &route_inc.net_lengths, &route_inc.net_bonds, &delta);
 
-                let mut fresh_router = IncrementalRouter::new(&d, RouterConfig::default());
+                let mut fresh_router = IncrementalRouter::new(&d);
                 let route_full = fresh_router.full(&moved);
                 let sta_full = IncrementalSta::new(&d).full(
                     &moved,
